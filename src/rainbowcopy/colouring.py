@@ -1,5 +1,16 @@
 """Edge colourings of the complete graph K_n.
 
+A colouring is one flat ``array('i')`` of C(n, 2) colours, 4 bytes per
+edge, indexed by the lexicographic edge id
+
+    id(u, v) = u * (2n - u - 3) / 2 + v - 1        for u < v,
+
+which is the order of all_edges and of the colouring file.  With
+off = row_offsets(n), the id is off[u] + v; the hot loops of the sampler,
+oracle and events modules read the table that way, and every other caller
+goes through the checked accessor EdgeColouring.colour.  n is capped at
+MAX_VERTICES, which keeps a table under 540 MB.
+
 Two boundedness measures matter: the *global* bound (largest number of
 edges sharing one colour anywhere in K_n) and the *local* bound (largest
 number of equally coloured edges meeting at a single vertex).  Generators
@@ -11,10 +22,14 @@ construction instead of by rejection.
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .errors import DomainError, FormatError
+from .errors import CapacityError, DomainError, FormatError
 
 __all__ = [
     "EdgeColouring",
@@ -27,7 +42,15 @@ __all__ = [
     "constant_colouring",
     "distinct_colouring",
     "all_edges",
+    "row_offsets",
+    "MAX_VERTICES",
+    "COLOUR_MAX",
 ]
+
+# Largest n a colouring may have: C(16384, 2) four-byte colours are 537 MB.
+MAX_VERTICES = 16_384
+# Largest colour an array('i') cell holds.
+COLOUR_MAX = 2**31 - 1
 
 
 def all_edges(n: int) -> Iterator[tuple[int, int]]:
@@ -37,42 +60,66 @@ def all_edges(n: int) -> Iterator[tuple[int, int]]:
             yield (u, v)
 
 
+@lru_cache(maxsize=16)
+def row_offsets(n: int) -> tuple[int, ...]:
+    """off[u] such that off[u] + v is the edge id of (u, v), u < v < n."""
+    return tuple(u * (2 * n - u - 3) // 2 - 1 for u in range(n))
+
+
+def _edge_of(n: int, e: int) -> tuple[int, int]:
+    """The edge (u, v) with id e in K_n."""
+    off = row_offsets(n)
+    u = bisect_right(range(n), e, key=lambda w: off[w] + w + 1) - 1
+    return (u, e - off[u])
+
+
+def _check_size(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise CapacityError(f"K_{n} exceeds the colouring cap of {MAX_VERTICES} vertices")
+
+
 @dataclass(frozen=True)
 class EdgeColouring:
     """Total colour assignment on the edges of K_n.
 
-    Keys of colour_by_edge are (u, v) with u < v; values are nonnegative
-    colour identifiers.  Totality over all C(n, 2) edges is enforced.
+    table[id(u, v)] is the nonnegative colour of edge (u, v), in the edge
+    order of all_edges(n).  A table that is not an array('i') is copied
+    into one.  Totality over all C(n, 2) edges is enforced.
     """
 
     n: int
-    colour_by_edge: dict[tuple[int, int], int]
+    table: array
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DomainError(f"n must be positive, got {self.n}")
+        _check_size(self.n)
+        if not (isinstance(self.table, array) and self.table.typecode == "i"):
+            try:
+                object.__setattr__(self, "table", array("i", self.table))
+            except OverflowError as exc:
+                raise FormatError(f"colour outside 0..{COLOUR_MAX}: {exc}") from None
         expected = self.n * (self.n - 1) // 2
-        if len(self.colour_by_edge) != expected:
+        if len(self.table) != expected:
             raise FormatError(
-                f"colouring has {len(self.colour_by_edge)} edges, K_{self.n} has {expected}"
+                f"colouring has {len(self.table)} edges, K_{self.n} has {expected}"
             )
-        for (u, v), c in self.colour_by_edge.items():
-            if not (0 <= u < v < self.n):
-                raise FormatError(f"bad edge key ({u}, {v}) for n={self.n}")
-            if c < 0:
-                raise FormatError(f"negative colour {c} on edge ({u}, {v})")
+        lowest = min(self.table, default=0)
+        if lowest < 0:
+            u, v = _edge_of(self.n, self.table.index(lowest))
+            raise FormatError(f"negative colour {lowest} on edge ({u}, {v})")
 
     def colour(self, u: int, v: int) -> int:
         if u == v:
             raise DomainError(f"no loop edge ({u}, {v}) in K_{self.n}")
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self.colour_by_edge[key]
-        except KeyError:
-            raise DomainError(f"edge {key} outside K_{self.n}") from None
+        if u > v:
+            u, v = v, u
+        if u < 0 or v >= self.n:
+            raise DomainError(f"edge {(u, v)} outside K_{self.n}")
+        return self.table[u * (2 * self.n - u - 3) // 2 + v - 1]
 
     def colours_used(self) -> set[int]:
-        return set(self.colour_by_edge.values())
+        return set(self.table)
 
 
 class Boundedness(NamedTuple):
@@ -82,55 +129,38 @@ class Boundedness(NamedTuple):
 
 def boundedness(colouring: EdgeColouring) -> Boundedness:
     """Global and local boundedness measures of a colouring."""
-    global_counts: dict[int, int] = {}
-    local_counts: dict[tuple[int, int], int] = {}
-    for (u, v), c in colouring.colour_by_edge.items():
-        global_counts[c] = global_counts.get(c, 0) + 1
-        local_counts[(u, c)] = local_counts.get((u, c), 0) + 1
-        local_counts[(v, c)] = local_counts.get((v, c), 0) + 1
+    n, table = colouring.n, colouring.table
+    off = row_offsets(n)
+    local_bound = 0
+    for u in range(n):
+        # the edges at u: its row (u, v > u), then its column (w < u, u)
+        at_u = Counter(table[off[u] + u + 1 : off[u] + n])
+        at_u.update(map(table.__getitem__, map(u.__add__, off[:u])))
+        local_bound = max(local_bound, max(at_u.values(), default=0))
     return Boundedness(
-        global_bound=max(global_counts.values(), default=0),
-        local_bound=max(local_counts.values(), default=0),
+        global_bound=max(Counter(table).values(), default=0),
+        local_bound=local_bound,
     )
 
 
 def gen_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
     """Random colouring in which no colour is used more than k times.
 
-    Shuffles the edge list and assigns colour i//k to the i-th edge, so
+    Shuffles the edge ids and assigns colour i//k to the i-th edge, so
     exactly ceil(C(n,2)/k) colours are used.
     """
     if n < 2 or k < 1:
         raise DomainError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
-    edges = list(all_edges(n))
+    _check_size(n)
+    # shuffle swaps by index only, so the array gives the list's permutation
+    order = array("i", range(n * (n - 1) // 2))
     rng = random.Random(seed)
-    rng.shuffle(edges)
-    return EdgeColouring(n, {e: i // k for i, e in enumerate(edges)})
-
-
-def _round_robin_classes(n: int) -> list[list[tuple[int, int]]]:
-    """Matching classes of the round-robin schedule on K_n.
-
-    Even n: n-1 perfect matchings (circle method, one fixed vertex).
-    Odd n: n near-perfect matchings, vertex r idle in class r.
-    """
-    classes: list[list[tuple[int, int]]] = []
-    if n % 2 == 0:
-        m = n - 1
-        for r in range(m):
-            cls = [(min(n - 1, r), max(n - 1, r))]
-            for i in range(1, m // 2 + 1):
-                a, b = (r + i) % m, (r - i) % m
-                cls.append((min(a, b), max(a, b)))
-            classes.append(cls)
-    else:
-        for r in range(n):
-            cls = []
-            for i in range(1, (n - 1) // 2 + 1):
-                a, b = (r + i) % n, (r - i) % n
-                cls.append((min(a, b), max(a, b)))
-            classes.append(cls)
-    return classes
+    rng.shuffle(order)
+    table = array("i", [0]) * len(order)
+    for colour, start in enumerate(range(0, len(order), k)):
+        for e in order[start : start + k]:
+            table[e] = colour
+    return EdgeColouring(n, table)
 
 
 def gen_locally_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
@@ -139,36 +169,56 @@ def gen_locally_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
     Builds the round-robin proper edge colouring of K_n and merges randomly
     grouped batches of k matching classes into single colours.  Each class
     meets every vertex at most once, so the local bound is at most k.
+
+    Round robin on r = n (odd n) or r = n - 1 (even n) vertices: class c
+    holds the edges (a, b), a, b < r, with a + b = 2c (mod r), and for even
+    n also the edge (c, n - 1).
     """
     if n < 2 or k < 1:
         raise DomainError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
-    classes = _round_robin_classes(n)
-    order = list(range(len(classes)))
+    _check_size(n)
+    r = n if n % 2 else n - 1
+    order = list(range(r))
     rng = random.Random(seed)
     rng.shuffle(order)
-    mapping: dict[tuple[int, int], int] = {}
+    colour_of_class = [0] * r
     for pos, class_idx in enumerate(order):
-        colour = pos // k
-        for e in classes[class_idx]:
-            mapping[e] = colour
-    return EdgeColouring(n, mapping)
+        colour_of_class[class_idx] = pos // k
+    # by_sum[s] is the colour of every edge (a, b) with a + b = s, a, b < r;
+    # (r + 1) / 2 is the inverse of 2 modulo the odd r
+    half = (r + 1) // 2
+    by_sum = array("i", (colour_of_class[s * half % r] for s in range(2 * r)))
+    table = array("i")
+    for a in range(n - 1):
+        table.extend(by_sum[2 * a + 1 : a + r])
+        if r < n:
+            table.append(colour_of_class[a])
+    return EdgeColouring(n, table)
 
 
 def constant_colouring(n: int, colour: int = 0) -> EdgeColouring:
     """Monochromatic colouring of K_n."""
-    return EdgeColouring(n, {e: colour for e in all_edges(n)})
+    _check_size(n)
+    return EdgeColouring(n, [colour] * (n * (n - 1) // 2))
 
 
 def distinct_colouring(n: int) -> EdgeColouring:
     """All edges receive pairwise different colours."""
-    return EdgeColouring(n, {e: i for i, e in enumerate(all_edges(n))})
+    _check_size(n)
+    return EdgeColouring(n, array("i", range(n * (n - 1) // 2)))
 
 
 def save_colouring(colouring: EdgeColouring) -> str:
     """Serialise to the text format accepted by load_colouring."""
-    lines = [f"n {colouring.n}"]
-    for (u, v) in sorted(colouring.colour_by_edge):
-        lines.append(f"{u} {v} {colouring.colour_by_edge[(u, v)]}")
+    n, table = colouring.n, colouring.table
+    off = row_offsets(n)
+    tails = [f" {v} " for v in range(n)]
+    lines = [f"n {n}"]
+    for u in range(n - 1):
+        # row u: "u v c" for v > u, the " v " tails joined by "\nu"
+        head = str(u)
+        row = map(str, table[off[u] + u + 1 : off[u] + n])
+        lines.append(head + ("\n" + head).join(map(str.__add__, tails[u + 1 :], row)))
     return "\n".join(lines) + "\n"
 
 
@@ -176,45 +226,64 @@ def load_colouring(text: str) -> EdgeColouring:
     """Parse a colouring document.
 
     Format: header "n <N>", then one "<u> <v> <c>" line per edge of K_n.
-    Every edge must appear exactly once.  '#' lines are comments.
+    Every edge must appear exactly once.  '#' lines are comments.  Colours
+    are integers in 0..COLOUR_MAX and N is at most MAX_VERTICES.
     """
+    lines = text.splitlines()
     n: int | None = None
-    mapping: dict[tuple[int, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for header_lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise FormatError(f"line {lineno}: expected header 'n <N>', got {line!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
-            if n < 1:
-                raise FormatError(f"line {lineno}: vertex count must be positive")
+        if len(parts) != 2 or parts[0] != "n":
+            raise FormatError(f"line {header_lineno}: expected header 'n <N>', got {raw.strip()!r}")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise FormatError(f"line {header_lineno}: bad vertex count {parts[1]!r}") from None
+        if n < 1:
+            raise FormatError(f"line {header_lineno}: vertex count must be positive")
+        break
+    if n is None:
+        raise FormatError("empty document: missing 'n <N>' header")
+    _check_size(n)
+    expected = n * (n - 1) // 2
+    if len(lines) - header_lineno < expected:
+        raise FormatError(
+            f"colouring incomplete: {len(lines) - header_lineno} lines after the header, "
+            f"K_{n} has {expected} edges"
+        )
+    off = row_offsets(n)
+    table = array("i", [-1]) * expected
+    for lineno, raw in enumerate(lines[header_lineno:], start=header_lineno + 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
         if len(parts) != 3:
-            raise FormatError(f"line {lineno}: expected '<u> <v> <c>', got {line!r}")
+            raise FormatError(f"line {lineno}: expected '<u> <v> <c>', got {raw.strip()!r}")
         try:
             u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
         except ValueError:
-            raise FormatError(f"line {lineno}: non-integer token in {line!r}") from None
-        if u == v:
+            raise FormatError(f"line {lineno}: non-integer token in {raw.strip()!r}") from None
+        if 0 <= u < v < n:
+            e = off[u] + v
+        elif 0 <= v < u < n:
+            e = off[v] + u
+        elif u == v:
             raise FormatError(f"line {lineno}: loop edge {u} {v}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise FormatError(f"line {lineno}: endpoint out of range in {line!r}")
-        key = (min(u, v), max(u, v))
-        if key in mapping:
+        else:
+            raise FormatError(f"line {lineno}: endpoint out of range in {raw.strip()!r}")
+        if table[e] != -1:
             raise FormatError(f"line {lineno}: duplicate edge {u} {v}")
-        if c < 0:
-            raise FormatError(f"line {lineno}: negative colour {c}")
-        mapping[key] = c
-    if n is None:
-        raise FormatError("empty document: missing 'n <N>' header")
-    expected = n * (n - 1) // 2
-    if len(mapping) != expected:
-        missing = [e for e in all_edges(n) if e not in mapping]
-        raise FormatError(f"colouring incomplete: {len(missing)} missing edges, e.g. {missing[:3]}")
-    return EdgeColouring(n, mapping)
+        if not 0 <= c <= COLOUR_MAX:
+            problem = f"negative colour {c}" if c < 0 else f"colour {c} exceeds {COLOUR_MAX}"
+            raise FormatError(f"line {lineno}: {problem}")
+        table[e] = c
+    n_missing = table.count(-1)
+    if n_missing:
+        examples = [table.index(-1)]
+        while len(examples) < min(3, n_missing):
+            examples.append(table.index(-1, examples[-1] + 1))
+        missing = [_edge_of(n, e) for e in examples]
+        raise FormatError(f"colouring incomplete: {n_missing} missing edges, e.g. {missing}")
+    return EdgeColouring(n, table)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .colouring import EdgeColouring, boundedness
+from .colouring import EdgeColouring, boundedness, row_offsets
 from .errors import DomainError
 from .graph import Graph, cherry_stats, falling_factorial
 
@@ -128,7 +128,7 @@ def enumerate_bad_events(
     if g.n_vertices > n:
         raise DomainError(f"graph has {g.n_vertices} vertices but n = {n}")
     edges = g.sorted_edges()
-    colour_of = colouring.colour_by_edge
+    table, off = colouring.table, row_offsets(n)
     events: list[CanonicalEvent] = []
     for i, e in enumerate(edges):
         for f in edges[i + 1 :]:
@@ -144,9 +144,9 @@ def enumerate_bad_events(
                 pos = dict(zip(support, images))
                 a = (pos[e[0]], pos[e[1]])
                 b = (pos[f[0]], pos[f[1]])
-                ae = (a[0], a[1]) if a[0] < a[1] else (a[1], a[0])
-                be = (b[0], b[1]) if b[0] < b[1] else (b[1], b[0])
-                if colour_of[ae] == colour_of[be]:
+                ae = off[a[0]] + a[1] if a[0] < a[1] else off[a[1]] + a[0]
+                be = off[b[0]] + b[1] if b[0] < b[1] else off[b[1]] + b[0]
+                if table[ae] == table[be]:
                     events.append(CanonicalEvent(e, f, a, b, tag))
     return events
 

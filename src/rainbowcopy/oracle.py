@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .colouring import EdgeColouring
+from .colouring import EdgeColouring, row_offsets
 from .errors import CapacityError, DomainError
 from .events import CanonicalEvent
 from .graph import Graph
@@ -35,6 +35,7 @@ class _Backtracker:
             raise DomainError(f"cannot embed {g.n_vertices} vertices into K_{colouring.n}")
         self.g = g
         self.colouring = colouring
+        self.table, self.off = colouring.table, row_offsets(colouring.n)
         self.mode = mode
         self.node_budget = node_budget
         self.nodes = 0
@@ -47,7 +48,7 @@ class _Backtracker:
         self.used_colours: set[int] = set()
 
     def _edge_colour(self, w1: int, w2: int) -> int:
-        return self.colouring.colour_by_edge[(w1, w2) if w1 < w2 else (w2, w1)]
+        return self.table[self.off[w1] + w2] if w1 < w2 else self.table[self.off[w2] + w1]
 
     def _try_assign(self, v: int, w: int) -> list[tuple[int, int, int]] | None:
         """Map v to w; return the new (u, v, colour) records, or None on a

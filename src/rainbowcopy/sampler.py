@@ -9,17 +9,22 @@ K_n vertices.  Swap resampling keeps the injection uniform outside the
 resampled support; the loop is the constructive counterpart of the
 existence statements certified by the lll module.
 
-Violations are tracked incrementally, keyed by the colour classes of the
-image edges, so one resample costs time proportional to the degrees of the
-touched vertices rather than to the number of edge pairs.
+Violations are tracked incrementally in an index keyed by ints (the image
+colour, or colour and endpoint in proper mode) whose members are graph
+edge ids, so one resample costs time proportional to the degrees of the
+touched vertices rather than to the number of edge pairs.  The index keeps
+each bad key's two smallest members, so the smallest violating pair is a
+minimum over the bad keys rather than a sort of all pairs.  Image colours
+are read straight from the colouring's flat table.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 
-from .colouring import EdgeColouring
+from .colouring import EdgeColouring, row_offsets
 from .errors import DomainError
 from .graph import Graph
 
@@ -75,11 +80,9 @@ def is_valid_embedding(
     img = embedding.image_of
     if len(img) != g.n_vertices:
         raise DomainError("embedding size does not match the graph")
-    colour_by_edge = colouring.colour_by_edge
 
     def image_colour(u: int, v: int) -> int:
-        a, b = img[u], img[v]
-        return colour_by_edge[(a, b) if a < b else (b, a)]
+        return colouring.colour(img[u], img[v])
 
     if mode == "rainbow":
         seen: set[int] = set()
@@ -111,12 +114,8 @@ def violated_events(
     if mode not in ("proper", "rainbow"):
         raise DomainError(f"unknown mode {mode!r}")
     img = embedding.image_of
-    colour_by_edge = colouring.colour_by_edge
     edges = g.sorted_edges()
-    colours = []
-    for u, v in edges:
-        a, b = img[u], img[v]
-        colours.append(colour_by_edge[(a, b) if a < b else (b, a)])
+    colours = [colouring.colour(img[u], img[v]) for u, v in edges]
     out = []
     for i in range(len(edges)):
         e = edges[i]
@@ -148,57 +147,78 @@ class FindResult:
 
 
 class _ViolationIndex:
-    """Incremental per-colour-class bookkeeping of violating edge pairs."""
+    """Incremental bookkeeping of violating edge pairs, keyed by ints.
 
-    def __init__(self, mode: str):
-        self.mode = mode
-        self.classes: dict = {}
-        self.bad: set = set()
+    Members are edge ids into g.sorted_edges(), so id order is edge order.
+    A key is the image colour in rainbow mode and colour * |V(G)| + endpoint
+    in proper mode; a key is bad once two edges share it.  front maps each
+    bad key to the code first * |E(G)| + second of its two smallest
+    members, so the smallest code over front is the smallest violating
+    pair.  keys_at remembers the keys each edge is filed under, so removing
+    an edge needs no colour lookup.
+    """
 
-    def keys_of(self, edge: tuple[int, int], colour: int):
-        if self.mode == "rainbow":
-            return (colour,)
-        u, v = edge
-        return ((u, colour), (v, colour))
+    def __init__(self, mode: str, edges: list[tuple[int, int]], g_size: int):
+        self.proper = mode == "proper"
+        self.edges = edges
+        self.g_size = g_size
+        self.m = len(edges)
+        self.keys_at: list[tuple[int, ...]] = [()] * self.m
+        self.classes: dict[int, set[int]] = {}
+        self.front: dict[int, int] = {}
 
-    def add(self, edge: tuple[int, int], colour: int) -> None:
-        for key in self.keys_of(edge, colour):
-            members = self.classes.setdefault(key, set())
-            members.add(edge)
-            if len(members) >= 2:
-                self.bad.add(key)
+    def add(self, e: int, colour: int) -> None:
+        if self.proper:
+            u, v = self.edges[e]
+            base = colour * self.g_size
+            keys = (base + u, base + v)
+        else:
+            keys = (colour,)
+        self.keys_at[e] = keys
+        m, front = self.m, self.front
+        for key in keys:
+            members = self.classes.get(key)
+            if members is None:
+                self.classes[key] = {e}
+                continue
+            members.add(e)
+            code = front.get(key)
+            if code is None:  # the class has just become bad
+                a, b = sorted(members)
+            else:
+                a, b = divmod(code, m)
+                if e > b:
+                    continue
+                a, b = (e, a) if e < a else (a, e)
+            front[key] = a * m + b
 
-    def remove(self, edge: tuple[int, int], colour: int) -> None:
-        for key in self.keys_of(edge, colour):
+    def remove(self, e: int) -> None:
+        m, front = self.m, self.front
+        for key in self.keys_at[e]:
             members = self.classes[key]
-            members.remove(edge)
-            if len(members) < 2:
-                self.bad.discard(key)
+            members.remove(e)
             if not members:
                 del self.classes[key]
+                continue
+            if len(members) == 1:  # the class is no longer bad
+                del front[key]
+                continue
+            a, b = divmod(front[key], m)
+            if e == a or e == b:
+                a, b = sorted(members)[:2]
+                front[key] = a * m + b
 
-    def smallest_pair(self):
-        best = None
-        for key in self.bad:
-            members = sorted(self.classes[key])
-            candidate = (members[0], members[1])
-            if best is None or candidate < best:
-                best = candidate
-        return best
+    def smallest_pair(self) -> tuple[int, int]:
+        return divmod(min(self.front.values()), self.m)
 
-    def all_pairs(self):
+    def all_pairs(self) -> list[tuple[int, int]]:
         pairs = set()
-        for key in self.bad:
-            members = sorted(self.classes[key])
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    pairs.add((members[i], members[j]))
+        for key in self.front:
+            pairs.update(combinations(sorted(self.classes[key]), 2))
         return sorted(pairs)
 
     def pair_count(self) -> int:
-        return sum(
-            len(self.classes[key]) * (len(self.classes[key]) - 1) // 2 for key in self.bad
-        )
+        return sum(len(self.classes[key]) * (len(self.classes[key]) - 1) // 2 for key in self.front)
 
 
 def find_copy(
@@ -233,34 +253,35 @@ def find_copy(
     rng = random.Random(seed)
     prefix = rng.sample(range(n), g_size)
     img = prefix + sorted(set(range(n)) - set(prefix))
-    colour_by_edge = colouring.colour_by_edge
-    adjacency = g.adjacency
+    table, off = colouring.table, row_offsets(n)
+    edges = g.sorted_edges()
+    incident: list[list[int]] = [[] for _ in range(g_size)]
+    for e, (u, v) in enumerate(edges):
+        incident[u].append(e)
+        incident[v].append(e)
 
-    def image_colour(edge: tuple[int, int]) -> int:
-        a, b = img[edge[0]], img[edge[1]]
-        return colour_by_edge[(a, b) if a < b else (b, a)]
+    def image_colour(e: int) -> int:
+        u, v = edges[e]
+        a, b = img[u], img[v]
+        return table[off[a] + b] if a < b else table[off[b] + a]
 
-    index = _ViolationIndex(mode)
-    for edge in g.edges:
-        index.add(edge, image_colour(edge))
+    index = _ViolationIndex(mode, edges, g_size)
+    for e in range(len(edges)):
+        index.add(e, image_colour(e))
 
     def resample_vertex(v: int) -> None:
         # graph vertices occupy the first g_size positions of img
         j = rng.randrange(n)
-        touched = set()
-        for spot in (v, j):
-            if spot < g_size:
-                for u in adjacency[spot]:
-                    touched.add((spot, u) if spot < u else (u, spot))
-        for edge in touched:
-            index.remove(edge, image_colour(edge))
+        touched = incident[v] if j >= g_size or j == v else {*incident[v], *incident[j]}
+        for e in touched:
+            index.remove(e)
         img[v], img[j] = img[j], img[v]
-        for edge in touched:
-            index.add(edge, image_colour(edge))
+        for e in touched:
+            index.add(e, image_colour(e))
 
     resamples = 0
     while True:
-        if not index.bad:
+        if not index.front:
             embedding = Embedding(tuple(img[:g_size]), mode)
             if not is_valid_embedding(embedding, g, colouring, mode):
                 raise RuntimeError("internal error: bookkeeping and validity disagree")
@@ -268,10 +289,10 @@ def find_copy(
         if resamples >= max_resamples:
             return FindResult(None, False, resamples, index.pair_count())
         if pair_selection == "smallest":
-            pair = index.smallest_pair()
+            first, second = index.smallest_pair()
         else:
             pairs = index.all_pairs()
-            pair = pairs[rng.randrange(len(pairs))]
-        for v in sorted(set(pair[0]) | set(pair[1])):
+            first, second = pairs[rng.randrange(len(pairs))]
+        for v in sorted({*edges[first], *edges[second]}):
             resample_vertex(v)
         resamples += 1

@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 
 from rainbowcopy import EdgeColouring, Graph
-from rainbowcopy.colouring import all_edges
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float = 0.4,
@@ -27,5 +26,6 @@ def random_graph(rng: random.Random, n: int, edge_prob: float = 0.4,
 
 
 def random_colouring(rng: random.Random, n: int, n_colours: int) -> EdgeColouring:
-    """Uniform random colour per edge from a palette of n_colours."""
-    return EdgeColouring(n, {e: rng.randrange(n_colours) for e in all_edges(n)})
+    """Uniform random colour per edge from a palette of n_colours, drawn in
+    lexicographic edge order."""
+    return EdgeColouring(n, [rng.randrange(n_colours) for _ in range(n * (n - 1) // 2)])

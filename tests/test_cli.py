@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from rainbowcopy import constant_colouring, cycle_graph, save_colouring
+from rainbowcopy import constant_colouring, cycle_graph, path_graph, save_colouring
 from rainbowcopy.cli import main
 
 
@@ -116,6 +116,17 @@ class TestCertify:
 
 
 class TestGenFindOracle:
+    def test_colour_too_large_exit_2(self, tmp_path, capsys):
+        graph_file = tmp_path / "p3.graph"
+        write_graph(graph_file, path_graph(3))
+        col = tmp_path / "big.col"
+        col.write_text("n 3\n0 1 0\n0 2 2147483648\n1 2 1\n", encoding="utf-8")
+        for command in ("find", "oracle"):
+            code = main([command, "--graph", str(graph_file), "--colouring", str(col),
+                         "--mode", "proper"] + (["--seed", "0"] if command == "find" else []))
+            assert code == 2
+            assert "line 3: colour 2147483648 exceeds" in capsys.readouterr().err
+
     def test_gen_then_find_proper_c6(self, tmp_path, capsys):
         col = tmp_path / "k6.col"
         assert main(["gen", "--n", "6", "--k", "2", "--mode", "local", "--seed", "1",

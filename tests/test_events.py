@@ -31,9 +31,8 @@ from rainbowcopy.oracle import count_injections_in_event
 
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
 # exactly one monochromatic pair of edges in K_4, and it is disjoint
-ONE_MONO_DISJOINT = EdgeColouring(
-    4, {(0, 1): 0, (2, 3): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4}
-)
+# colours of the K_4 edges 01, 02, 03, 12, 13, 23 (lexicographic order)
+ONE_MONO_DISJOINT = EdgeColouring(4, [0, 1, 2, 3, 4, 0])
 
 
 def brute_force_events(g, colouring, mode):

@@ -24,9 +24,9 @@ from rainbowcopy import (
     path_graph,
 )
 
-ONE_MONO_CHERRY_K4 = EdgeColouring(
-    4, {(0, 1): 0, (1, 2): 0, (0, 2): 1, (0, 3): 2, (1, 3): 3, (2, 3): 4}
-)
+# colours of the K_4 edges 01, 02, 03, 12, 13, 23 (lexicographic order)
+# only 01 and 12 share a colour
+ONE_MONO_CHERRY_K4 = EdgeColouring(4, [0, 1, 2, 0, 3, 4])
 
 
 def scan_valid(g, colouring, mode):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -20,11 +21,11 @@ from rainbowcopy import (
     random_injection,
     violated_events,
 )
+from rainbowcopy import sampler
 
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
-ONE_MONO_DISJOINT = EdgeColouring(
-    4, {(0, 1): 0, (2, 3): 0, (0, 2): 1, (0, 3): 2, (1, 2): 3, (1, 3): 4}
-)
+# colours of the K_4 edges 01, 02, 03, 12, 13, 23 (lexicographic order)
+ONE_MONO_DISJOINT = EdgeColouring(4, [0, 1, 2, 3, 4, 0])
 
 
 class TestRandomInjection:
@@ -152,3 +153,62 @@ class TestAgreement:
             if result.success:
                 assert is_valid_embedding(result.embedding, g, chi, mode)
                 assert not violated_events(result.embedding, g, chi, mode)
+
+
+# (success, resamples, final_violations, sha256(repr(image_of))[:16]) of
+# find_copy on C_400 with max_resamples=4000, recorded with the dict-backed
+# colouring and the sort-based pair selection that preceded the flat table
+# and the incremental minimum.  Any change to the swap step re-derives them.
+SAMPLER_PINS = {
+    ("rainbow", "smallest", 2): (True, 2066, 0, "6928892f154c3c66"),
+    ("rainbow", "smallest", 3): (True, 1428, 0, "9cc43d6ca49d4fa0"),
+    ("rainbow", "random", 2): (True, 2086, 0, "85d78bbd694f7c12"),
+    ("rainbow", "random", 3): (False, 4000, 12, None),
+    ("proper", "smallest", 2): (False, 4000, 10, None),
+    ("proper", "smallest", 3): (False, 4000, 13, None),
+    ("proper", "random", 2): (False, 4000, 11, None),
+    ("proper", "random", 3): (True, 739, 0, "ee944f186d282980"),
+}
+
+
+@pytest.mark.parametrize("mode, selection, seed", sorted(SAMPLER_PINS))
+def test_transcripts_are_pinned(mode, selection, seed):
+    gen, k = (gen_k_bounded, 27) if mode == "rainbow" else (gen_locally_k_bounded, 45)
+    result = find_copy(cycle_graph(400), gen(400, k, 1), mode, seed=seed,
+                       max_resamples=4000, pair_selection=selection)
+    image = result.embedding.image_of if result.embedding else None
+    digest = hashlib.sha256(repr(image).encode()).hexdigest()[:16] if image else None
+    assert (result.success, result.resamples, result.final_violations, digest) == \
+        SAMPLER_PINS[mode, selection, seed]
+
+
+class _CheckedIndex(sampler._ViolationIndex):
+    """Compares the incrementally kept minimum with a full recomputation
+    every time find_copy asks for it."""
+
+    calls = 0
+
+    def smallest_pair(self):
+        pair = super().smallest_pair()
+        assert pair == self.all_pairs()[0]
+        assert self.pair_count() == len(self.all_pairs())
+        type(self).calls += 1
+        return pair
+
+
+def test_incremental_minimum_matches_all_pairs(monkeypatch):
+    monkeypatch.setattr(sampler, "_ViolationIndex", _CheckedIndex)
+    rng = random.Random(71)
+    # the first three spend their budget, so the minimum is asked for after
+    # many adds and removes
+    runs = [(cycle_graph(60), gen_k_bounded(60, 12, 1), "rainbow"),
+            (cycle_graph(60), gen_locally_k_bounded(60, 36, 1), "proper"),
+            (path_graph(3), constant_colouring(3), "proper")]
+    for _ in range(40):
+        n = rng.randint(3, 8)
+        g = random_graph(rng, rng.randint(2, n), edge_prob=0.6)
+        runs.append((g, random_colouring(rng, n, rng.randint(1, 4)), rng.choice(["proper", "rainbow"])))
+    for g, chi, mode in runs:
+        result = find_copy(g, chi, mode, seed=rng.randrange(10**6), max_resamples=300)
+        assert result.success or result.resamples == 300
+    assert _CheckedIndex.calls > 1000
