@@ -41,7 +41,6 @@ from .graph import (
 )
 from .lll import (
     LLLCertificate,
-    MuSearchConfig,
     check_asymmetric,
     check_cluster_clique,
     check_cluster_exact,

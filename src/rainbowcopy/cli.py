@@ -41,6 +41,13 @@ def _read_colouring(path: str):
     return load_colouring(Path(path).read_text(encoding="utf-8"))
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _print_json(document: dict) -> None:
     print(json.dumps(document, indent=2, sort_keys=True))
 
@@ -75,7 +82,7 @@ def _resolve_proper_rates(args: argparse.Namespace):
         stats = cherry_stats(_read_graph(args.graph))
         return Fraction(stats.max_cherries_per_vertex), Fraction(stats.total_cherries, args.n)
     if args.q is not None and args.p is not None:
-        return Fraction(args.q), Fraction(args.p)
+        return args.q, args.p
     if args.delta is not None:
         # worst case for maximum degree delta
         d2 = Fraction(args.delta * args.delta)
@@ -92,7 +99,7 @@ def _resolve_delta(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    n, k = args.n, Fraction(args.k)
+    n, k = args.n, args.k
     if args.mode == "proper":
         q, p = _resolve_proper_rates(args)
         if args.search_mu:
@@ -245,9 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--graph")
     s.add_argument("--delta", type=int)
-    s.add_argument("--p")
-    s.add_argument("--q")
-    s.add_argument("--k", required=True, help="colour bound (integer or fraction)")
+    s.add_argument("--p", type=_fraction)
+    s.add_argument("--q", type=_fraction)
+    s.add_argument("--k", type=_fraction, required=True, help="colour bound (integer or fraction)")
     group = s.add_mutually_exclusive_group()
     group.add_argument("--paper-mu", action="store_true", default=False,
                        help="use the fixed reference weights (default)")

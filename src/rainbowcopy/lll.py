@@ -16,10 +16,11 @@ smallest RHS/LHS ratio over all checked conditions (the margin), and the
 verdict.  Equality counts as holding for the "<=" forms and as failing for
 the strict symmetric form.
 
-The mu search fixed here is a logarithmic grid scan over [1e-12, 1e3] per
-coordinate followed by coordinate-wise refinement to relative step < 1e-4.
-Scanning uses high-precision floats; the returned certificate is always
-re-evaluated in exact rational arithmetic at the chosen parameters.
+The mu search maximises the clique-form margin over the box [1e-12, 1e3]
+per weight.  In log mu the margin is log-concave, so one golden-section
+search (nested for two weights) finds the optimum in the box; it runs in
+floats, and the returned certificate is always re-evaluated in exact
+rational arithmetic at the chosen parameters.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import mpmath
 
 from .errors import CapacityError, DomainError
 from .events import (
@@ -46,7 +45,6 @@ from .graph import falling_factorial
 __all__ = [
     "LLLCertificate",
     "ConditionCheck",
-    "MuSearchConfig",
     "check_symmetric",
     "check_asymmetric",
     "independent_set_polynomial",
@@ -268,6 +266,27 @@ def _mixed_denominator_terms(profile: NeighbourhoodProfile) -> list[tuple[int, d
     return list(sides.values())
 
 
+def _clique_terms(p_by_class, clique_profile) -> dict[str, tuple[Fraction, list]]:
+    """Normalise either clique form to {type s: (p_s, [(count, {type t: bound_t})])},
+    so that the condition for s reads
+
+        p_s <= mu_s / prod over cliques (1 + sum_t mu_t * bound_t) ** count.
+
+    A single profile is one type, named by its probability label, in which
+    every entry is its own clique."""
+    if isinstance(clique_profile, NeighbourhoodProfile):
+        label, p = _single_probability(p_by_class)
+        return {label: (p, [(e.count, {label: e.size_bound}) for e in clique_profile.entries])}
+    if not isinstance(clique_profile, Mapping):
+        raise DomainError("clique_profile must be a profile or a mapping of profiles")
+    if not isinstance(p_by_class, Mapping):
+        raise DomainError("two-type form needs a mapping of probabilities")
+    return {
+        t: (_as_fraction(p_by_class[t]), _mixed_denominator_terms(profile))
+        for t, profile in clique_profile.items()
+    }
+
+
 def check_cluster_clique(p_by_class, clique_profile, mu) -> LLLCertificate:
     """Clique-cover relaxation of the exact cluster condition.
 
@@ -278,30 +297,12 @@ def check_cluster_clique(p_by_class, clique_profile, mu) -> LLLCertificate:
     is a pair or mapping with mu per type): for each event type s,
         p_s <= mu_s / prod over mixed cliques (1 + sum_t mu_t * bound_t)
     """
-    if isinstance(clique_profile, NeighbourhoodProfile):
-        label, p = _single_probability(p_by_class)
-        mu_val = _as_fraction(mu)
-        if mu_val <= 0:
-            raise DomainError(f"mu must be positive, got {mu_val}")
-        denom = Fraction(1)
-        for entry in clique_profile.entries:
-            denom *= (1 + mu_val * entry.size_bound) ** entry.count
-        rhs = mu_val / denom
-        cond = ConditionCheck(label, p, rhs, p <= rhs)
-        return LLLCertificate(
-            variant="cluster-clique-3prime",
-            parameters={"mu": mu_val},
-            probabilities={label: p},
-            margin=cond.margin(),
-            holds=cond.satisfied,
-            conditions=(cond,),
-        )
-
-    if not isinstance(clique_profile, Mapping):
-        raise DomainError("clique_profile must be a profile or a mapping of profiles")
-    if not isinstance(p_by_class, Mapping):
-        raise DomainError("two-type form needs a mapping of probabilities")
-    if isinstance(mu, Mapping):
+    terms = _clique_terms(p_by_class, clique_profile)
+    single = isinstance(clique_profile, NeighbourhoodProfile)
+    if single:
+        (label,) = terms
+        mu_by_type = {label: _as_fraction(mu)}
+    elif isinstance(mu, Mapping):
         mu_by_type = {t: _as_fraction(v) for t, v in mu.items()}
     else:
         mu_int, mu_dis = mu
@@ -311,171 +312,125 @@ def check_cluster_clique(p_by_class, clique_profile, mu) -> LLLCertificate:
             raise DomainError(f"mu must be positive, got {v}")
 
     conditions = []
-    probs = {}
-    for event_type, profile in clique_profile.items():
-        p = _as_fraction(p_by_class[event_type])
-        probs[event_type] = p
+    for event_type, (p, cliques) in terms.items():
         denom = Fraction(1)
-        for count, bounds in _mixed_denominator_terms(profile):
-            term = Fraction(1)
-            for type_part, bound in bounds.items():
-                term += mu_by_type[type_part] * bound
-            denom *= term**count
+        for count, bounds in cliques:
+            denom *= (1 + sum(mu_by_type[t] * b for t, b in bounds.items())) ** count
         rhs = mu_by_type[event_type] / denom
         conditions.append(ConditionCheck(event_type, p, rhs, p <= rhs))
+    if single:
+        variant, parameters = "cluster-clique-3prime", {"mu": mu_by_type[label]}
+    else:
+        variant, parameters = "cluster-two-type-4prime", {f"mu_{t}": v for t, v in mu_by_type.items()}
     return LLLCertificate(
-        variant="cluster-two-type-4prime",
-        parameters={f"mu_{t}": v for t, v in mu_by_type.items()},
-        probabilities=probs,
+        variant=variant,
+        parameters=parameters,
+        probabilities={t: p for t, (p, _) in terms.items()},
         margin=_min_margin(conditions),
         holds=all(c.satisfied for c in conditions),
         conditions=tuple(conditions),
     )
 
 
-@dataclass(frozen=True)
-class MuSearchConfig:
-    mu_lo: Fraction = Fraction(1, 10**12)
-    mu_hi: Fraction = Fraction(1000)
-    points_per_decade: int = 4
-    refine_rel_tol: float = 1e-4
-    precision_bits: int = 100
+# The weight box of optimize_mu, per coordinate.
+MU_LO = Fraction(1, 10**12)
+MU_HI = Fraction(1000)
+
+_INV_PHI = (math.sqrt(5) - 1) / 2
+_LOG_TOL = 1e-9
 
 
-def _grid(config: MuSearchConfig) -> list[Fraction]:
-    ratio = Fraction(10.0 ** (1.0 / config.points_per_decade))
-    points = [config.mu_lo]
-    while points[-1] * ratio <= config.mu_hi:
-        points.append(points[-1] * ratio)
-    if points[-1] < config.mu_hi:
-        points.append(config.mu_hi)
-    return points
+def _log(x: Fraction) -> float:
+    # logs of numerator and denominator separately: no float overflow
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
-def optimize_mu(p_by_class, clique_profile, config: MuSearchConfig | None = None):
+def _log1p_sum_exp(exponents: list[float]) -> float:
+    """log(1 + sum of exp(e)), without overflow."""
+    top = max([0.0, *exponents])
+    total = math.exp(-top)
+    for e in exponents:
+        total += math.exp(e - top)
+    return top + math.log(total)
+
+
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of a concave f on [lo, hi].
+
+    Returns (value, x).  A bound is returned exactly when no interior probe
+    beats it, so an optimum at the edge of the box lands on the edge.
+    """
+    a, b = lo, hi
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > _LOG_TOL:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+    interior = (fc, c) if fc >= fd else (fd, d)
+    return max((f(lo), lo), (f(hi), hi), interior, key=lambda vx: vx[0])
+
+
+def optimize_mu(p_by_class, clique_profile):
     """Search mu parameters maximising the certificate margin.
 
-    Logarithmic grid scan over [mu_lo, mu_hi] per coordinate, then
-    coordinate-wise multiplicative refinement down to relative steps below
-    refine_rel_tol.  The scan runs in high-precision floats; the winning
-    point (and, for safety, the best grid point) are re-evaluated exactly,
-    so the returned margin is never below the margin of any grid point.
-    Deterministic; margin ties prefer the lexicographically smaller tuple.
+    With t = log mu, the log margin of type s,
+        t_s - sum over cliques count * log(1 + sum_u exp(t_u) * bound_u) - log p_s,
+    is concave (a log-sum-exp of affine functions is convex), so their
+    minimum over the types is concave, and so is the maximum over one
+    coordinate of it.  A golden-section search over [log MU_LO, log MU_HI]
+    therefore finds the optimum: directly for one weight, nested (inner
+    search over mu_dis for each probe of mu_int) for two.  The search
+    evaluates float logs of the terms of check_cluster_clique; the
+    returned certificate is that exact check at the point found.  An
+    optimum on the edge of the box is returned as the exact bound.  When
+    the optimum lies below MU_LO, as for the rainbow form at large n, the
+    certificate fails although the reference weights may hold.
 
     Returns (parameters, certificate); the certificate fails (margin < 1)
     when no feasible point exists.
     """
-    config = config or MuSearchConfig()
-    two_type = isinstance(clique_profile, Mapping)
+    terms = _clique_terms(p_by_class, clique_profile)
+    single = isinstance(clique_profile, NeighbourhoodProfile)
+    axis = {t: i for i, t in enumerate(terms if single else (INTERSECTING, DISJOINT))}
+    log_terms = [
+        (axis[s], _log(p), [(count, [(axis[t], _log(b)) for t, b in bounds.items() if b])
+                            for count, bounds in cliques])
+        for s, (p, cliques) in terms.items()
+        if p
+    ]
 
-    if two_type:
-        type_order = [INTERSECTING, DISJOINT]
-        probs = {t: _as_fraction(p_by_class[t]) for t in type_order}
-        terms_by_type = {
-            t: [(c, dict(b)) for c, b in _mixed_denominator_terms(clique_profile[t])]
-            for t in type_order
-        }
-        dim = 2
+    def log_margin(x: list[float]) -> float:
+        worst = math.inf
+        for s, log_p, cliques in log_terms:
+            value = x[s] - log_p
+            for count, bounds in cliques:
+                value -= count * _log1p_sum_exp([x[t] + log_b for t, log_b in bounds])
+            worst = min(worst, value)
+        return worst
+
+    lo, hi = _log(MU_LO), _log(MU_HI)
+    if single:
+        _, x = _golden_max(lambda t: log_margin([t]), lo, hi)
+        point = [x]
     else:
-        _, p_single = _single_probability(p_by_class)
-        entries = clique_profile.entries
-        dim = 1
+        def inner(t_int: float) -> tuple[float, float]:
+            return _golden_max(lambda t_dis: log_margin([t_int, t_dis]), lo, hi)
 
-    with mpmath.workprec(config.precision_bits):
-        mpf = mpmath.mpf
-
-        def to_mpf(x: Fraction):
-            return mpf(x.numerator) / mpf(x.denominator)
-
-        if two_type:
-            probs_f = {t: to_mpf(probs[t]) for t in type_order}
-            terms_f = {
-                t: [(c, {tp: to_mpf(b) for tp, b in bounds.items()}) for c, bounds in terms]
-                for t, terms in terms_by_type.items()
-            }
-
-            def margin_f(point: tuple[Fraction, ...]):
-                mu_f = {type_order[idx]: to_mpf(point[idx]) for idx in range(2)}
-                worst = None
-                for t in type_order:
-                    denom = mpf(1)
-                    for count, bounds in terms_f[t]:
-                        term = mpf(1)
-                        for tp, b in bounds.items():
-                            term += mu_f[tp] * b
-                        denom *= term**count
-                    if probs_f[t] == 0:
-                        continue
-                    ratio = mu_f[t] / denom / probs_f[t]
-                    worst = ratio if worst is None else min(worst, ratio)
-                return worst if worst is not None else mpf("inf")
-
-        else:
-            p_f = to_mpf(p_single)
-            entries_f = [(e.count, to_mpf(e.size_bound)) for e in entries]
-
-            def margin_f(point: tuple[Fraction, ...]):
-                mu_val = to_mpf(point[0])
-                denom = mpf(1)
-                for count, bound in entries_f:
-                    denom *= (1 + mu_val * bound) ** count
-                if p_f == 0:
-                    return mpf("inf")
-                return mu_val / denom / p_f
-
-        grid = _grid(config)
-        if dim == 1:
-            candidates = [(g,) for g in grid]
-        else:
-            candidates = [(a, b) for a in grid for b in grid]
-
-        best_point = candidates[0]
-        best_val = margin_f(best_point)
-        for point in candidates[1:]:
-            val = margin_f(point)
-            if val > best_val:
-                best_val, best_point = val, point
-
-        grid_best = best_point
-        current, current_val = best_point, best_val
-        factor = Fraction(10.0 ** (1.0 / config.points_per_decade))
-        evals = 0
-        while float(factor) - 1.0 > config.refine_rel_tol and evals < 20000:
-            moved = False
-            for coord in range(dim):
-                for candidate_value in (current[coord] * factor, current[coord] / factor):
-                    if not config.mu_lo <= candidate_value <= config.mu_hi:
-                        continue
-                    point = tuple(
-                        candidate_value if idx == coord else current[idx] for idx in range(dim)
-                    )
-                    evals += 1
-                    val = margin_f(point)
-                    if val > current_val:
-                        current, current_val = point, val
-                        moved = True
-            if not moved:
-                factor = Fraction(math.sqrt(float(factor)))
-
-    def exact_certificate(point: tuple[Fraction, ...]) -> LLLCertificate:
-        if two_type:
-            return check_cluster_clique(probs, clique_profile, (point[0], point[1]))
-        return check_cluster_clique(p_by_class, clique_profile, point[0])
-
-    cert_refined = exact_certificate(current)
-    cert_grid = exact_certificate(grid_best)
-    if cert_grid.margin > cert_refined.margin or (
-        cert_grid.margin == cert_refined.margin and grid_best < current
-    ):
-        winner_point, winner = grid_best, cert_grid
-    else:
-        winner_point, winner = current, cert_refined
-
-    if two_type:
-        params = {"mu_int": winner_point[0], "mu_dis": winner_point[1]}
-    else:
-        params = {"mu": winner_point[0]}
-    return params, winner
+        _, x_int = _golden_max(lambda t_int: inner(t_int)[0], lo, hi)
+        point = [x_int, inner(x_int)[1]]
+    # interior probes lie more than _LOG_TOL / 5 inside the box, far beyond
+    # the rounding of exp, so their weights never leave it
+    mus = [MU_LO if x == lo else MU_HI if x == hi else Fraction(math.exp(x)) for x in point]
+    if single:
+        return {"mu": mus[0]}, check_cluster_clique(p_by_class, clique_profile, mus[0])
+    return ({"mu_int": mus[0], "mu_dis": mus[1]},
+            check_cluster_clique(p_by_class, clique_profile, tuple(mus)))
 
 
 def _resolve_qp(n: int, stats=None, q=None, p=None) -> tuple[Fraction, Fraction]:

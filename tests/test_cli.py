@@ -114,6 +114,26 @@ class TestCertify:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--k", "abc"],
+        ["--k", "1/0"],
+        ["--k", "2", "--q", "x", "--p", "1"],
+        ["--k", "2", "--q", "3", "--p", "x"],
+    ])
+    def test_bad_rational_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--mode", "proper", "--n", "100"] + flags)
+        assert exc.value.code == 2
+        assert "not a rational number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["rainbow", "proper"])
+    def test_search_mu_huge_n_fails_with_json(self, mode, capsys):
+        code = main(["certify", "--mode", mode, "--n", str(10**40), "--delta", "1",
+                     "--k", "1", "--search-mu"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certificate"]["verdict"] == "fails"
+
 
 class TestGenFindOracle:
     def test_colour_too_large_exit_2(self, tmp_path, capsys):

@@ -8,7 +8,6 @@ from rainbowcopy import (
     CapacityError,
     DomainError,
     DependencyGraph,
-    MuSearchConfig,
     check_asymmetric,
     check_cluster_clique,
     check_cluster_exact,
@@ -31,11 +30,38 @@ from rainbowcopy.events import (
     clique_cover_rainbow,
     proper_profile_from_rates,
 )
-from rainbowcopy.lll import _grid
+from rainbowcopy.lll import MU_HI, MU_LO
 
 
 def single_clique_profile(size) -> NeighbourhoodProfile:
     return NeighbourhoodProfile((CliqueClass(1, Fraction(size), "generic"),))
+
+
+def rainbow_cell(n, delta, k):
+    profiles = {t: clique_cover_rainbow(delta, n, k, t) for t in (INTERSECTING, DISJOINT)}
+    probs = {
+        INTERSECTING: Fraction(1, falling_factorial(n, 3)),
+        DISJOINT: Fraction(1, falling_factorial(n, 4)),
+    }
+    return probs, profiles
+
+
+def proper_cell(n, delta, k):
+    # worst-case cherry rates for maximum degree delta
+    q, p = Fraction(3, 2) * delta * delta, Fraction(delta * delta, 2)
+    return Fraction(1, falling_factorial(n, 3)), proper_profile_from_rates(q, p, n, k)
+
+
+def earlier_mu_grid() -> list[Fraction]:
+    """The weights of the grid scan that optimize_mu used to run: 1/10^12
+    times powers of Fraction(10.0**0.25) while at most 1000, then 1000."""
+    ratio = Fraction(10.0**0.25)
+    points = [Fraction(1, 10**12)]
+    while points[-1] * ratio <= 1000:
+        points.append(points[-1] * ratio)
+    if points[-1] < 1000:
+        points.append(Fraction(1000))
+    return points
 
 
 class TestSymmetric:
@@ -221,7 +247,7 @@ class TestOptimizeMu:
         profile = single_clique_profile(7)
         p = Fraction(1, 25)
         params, cert = optimize_mu(p, profile)
-        for mu in _grid(MuSearchConfig()):
+        for mu in earlier_mu_grid():
             grid_cert = check_cluster_clique(p, profile, mu)
             assert cert.margin >= grid_cert.margin
 
@@ -238,6 +264,113 @@ class TestOptimizeMu:
         second = optimize_mu(probs, profiles)
         assert first[0] == second[0]
         assert first[1].margin == second[1].margin
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("rule", ["thm7", "n/42"])
+    def test_two_type_margin_at_least_every_grid_point(self, n, rule):
+        k = threshold("thm7", n, delta=1) if rule == "thm7" else Fraction(n, 42)
+        probs, profiles = rainbow_cell(n, 1, k)
+        params, cert = optimize_mu(probs, profiles)
+        grid = earlier_mu_grid()
+        # The condition of one type only tightens as the other weight grows,
+        # so its margin with the other weight at the grid's least point
+        # bounds it along the whole grid line.  Points where either bound is
+        # already <= cert.margin need no exact check of their own.
+        upper_int = {
+            a: check_cluster_clique(probs, profiles, (a, grid[0])).conditions[0].margin()
+            for a in grid
+        }
+        upper_dis = {
+            b: check_cluster_clique(probs, profiles, (grid[0], b)).conditions[1].margin()
+            for b in grid
+        }
+        for a in grid:
+            for b in grid:
+                if min(upper_int[a], upper_dis[b]) > cert.margin:
+                    assert cert.margin >= check_cluster_clique(probs, profiles, (a, b)).margin
+
+    def test_optimum_on_the_upper_bound_is_exact(self):
+        params, cert = optimize_mu(Fraction(1, 25), single_clique_profile(7))
+        assert params == {"mu": MU_HI}
+        assert cert.holds and cert.parameters == {"mu": MU_HI}
+
+    def test_optimum_below_the_box_returns_the_lower_corner(self):
+        n = 10**4
+        params, cert = optimize_mu(*rainbow_cell(n, 1, threshold("thm7", n, delta=1)))
+        assert params == {"mu_int": MU_LO, "mu_dis": MU_LO}
+        assert not cert.holds
+
+    def test_zero_probability_single(self):
+        params, cert = optimize_mu(Fraction(0), single_clique_profile(10))
+        assert cert.holds and cert.margin == math.inf
+        assert MU_LO <= params["mu"] <= MU_HI
+
+    def test_zero_probability_two_type(self):
+        _, profiles = rainbow_cell(100, 1, 2)
+        zero = {INTERSECTING: Fraction(0), DISJOINT: Fraction(0)}
+        params, cert = optimize_mu(zero, profiles)
+        assert cert.holds and cert.margin == math.inf
+        assert all(MU_LO <= v <= MU_HI for v in params.values())
+        for mu in ((Fraction(1, 7), Fraction(1, 9)),
+                   {INTERSECTING: Fraction(1, 7), DISJOINT: Fraction(1, 9)}):
+            cert = check_cluster_clique(zero, profiles, mu)
+            assert cert.holds and cert.margin == math.inf
+
+    def test_one_zero_probability_leaves_the_other_condition(self):
+        probs, profiles = rainbow_cell(1000, 1, 19)
+        params, cert = optimize_mu({**probs, INTERSECTING: Fraction(0)}, profiles)
+        both = optimize_mu(probs, profiles)[1]
+        assert cert.holds and math.inf > cert.margin >= both.margin
+
+    @pytest.mark.parametrize("mode", ["rainbow", "proper"])
+    def test_huge_n_does_not_overflow(self, mode):
+        n = 10**40
+        if mode == "rainbow":
+            params, cert = optimize_mu(*rainbow_cell(n, 1, threshold("thm7", n, delta=1)))
+        else:
+            params, cert = optimize_mu(*proper_cell(n, 1, threshold("cor4", n, delta=1)))
+        assert not cert.holds
+        assert set(params.values()) == {MU_LO}
+
+
+
+# Verdict and float margin of the earlier grid-scan search (100-bit scan,
+# then coordinate refinement to relative step 1e-4) on threshold cells.
+EARLIER_SEARCH = [
+    ("thm7", 1, 100, True, 2.417756869712277),
+    ("thm7", 1, 316, True, 1.314662354067221),
+    ("thm7", 1, 1000, True, 1.3263609988441183),
+    ("thm7", 1, 3162, False, 0.009098298607962753),
+    ("thm7", 1, 10**4, False, 4.401265034528415e-15),
+    ("thm7", 1, 10**5, False, 4.590713283305231e-43),
+    ("thm7", 2, 100, True, 970200000.0),
+    ("thm7", 2, 316, True, 1.9628706678813719),
+    ("thm7", 2, 1000, True, 1.5702253906503558),
+    ("thm7", 2, 3162, False, 0.01063411227684695),
+    ("thm7", 2, 10**4, False, 4.401265034528415e-15),
+    ("thm7", 2, 10**5, False, 4.590713283305231e-43),
+    ("cor4", 1, 100, True, 1.0940000559998897),
+    ("cor4", 1, 316, True, 1.0015044244405624),
+    ("cor4", 1, 1000, True, 1.0128126684903673),
+    ("cor4", 1, 3162, True, 1.0007353243273192),
+    ("cor4", 1, 10**4, True, 1.000989527907217),
+    ("cor4", 1, 10**5, False, 1.0150616598619316e-08),
+    ("cor4", 2, 100, True, 1.0940000559998897),
+    ("cor4", 2, 316, True, 1.168421827372133),
+    ("cor4", 2, 1000, True, 1.0128126684903673),
+    ("cor4", 2, 3162, True, 1.007883433651356),
+    ("cor4", 2, 10**4, True, 1.0054984897430914),
+    ("cor4", 2, 10**5, False, 1.0150616598619316e-08),
+]
+
+
+@pytest.mark.parametrize("theorem, delta, n, holds, margin", EARLIER_SEARCH)
+def test_search_matches_earlier_verdicts(theorem, delta, n, holds, margin):
+    k = threshold(theorem, n, delta=delta)
+    cell = rainbow_cell if theorem == "thm7" else proper_cell
+    params, cert = optimize_mu(*cell(n, delta, k))
+    assert cert.holds == holds
+    assert float(cert.margin) >= margin * (1 - 1e-9)
 
 
 class TestThreshold:
