@@ -41,6 +41,7 @@ from .graph import (
 )
 from .lll import (
     LLLCertificate,
+    certificate_inputs,
     check_asymmetric,
     check_cluster_clique,
     check_cluster_exact,

@@ -25,8 +25,7 @@ from .colouring import (
     save_colouring,
 )
 from .errors import CapacityError, DomainError, FormatError
-from .events import DISJOINT, INTERSECTING, clique_cover_rainbow, proper_profile_from_rates
-from .graph import cherry_stats, complete_graph, cycle_graph, falling_factorial, load_graph, path_graph
+from .graph import cherry_stats, complete_graph, cycle_graph, load_graph, path_graph
 from .oracle import exists_copy
 from .sampler import find_copy
 
@@ -49,7 +48,8 @@ def _fraction(text: str) -> Fraction:
 
 
 def _print_json(document: dict) -> None:
-    print(json.dumps(document, indent=2, sort_keys=True))
+    # exact rationals (Fractions) print as strings such as "7/2"
+    print(json.dumps(document, indent=2, sort_keys=True, default=str))
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -77,58 +77,15 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_proper_rates(args: argparse.Namespace):
-    if args.graph:
-        stats = cherry_stats(_read_graph(args.graph))
-        return Fraction(stats.max_cherries_per_vertex), Fraction(stats.total_cherries, args.n)
-    if args.q is not None and args.p is not None:
-        return args.q, args.p
-    if args.delta is not None:
-        # worst case for maximum degree delta
-        d2 = Fraction(args.delta * args.delta)
-        return Fraction(3, 2) * d2, d2 / 2
-    raise DomainError("proper mode needs --graph, or --q and --p, or --delta")
-
-
-def _resolve_delta(args: argparse.Namespace) -> int:
-    if args.delta is not None:
-        return args.delta
-    if args.graph:
-        return cherry_stats(_read_graph(args.graph)).max_degree
-    raise DomainError("rainbow mode needs --delta or --graph")
-
-
 def _cmd_certify(args: argparse.Namespace) -> int:
-    n, k = args.n, args.k
-    if args.mode == "proper":
-        q, p = _resolve_proper_rates(args)
-        if args.search_mu:
-            profile = proper_profile_from_rates(q, p, n, k)
-            params, cert = lll.optimize_mu(Fraction(1, falling_factorial(n, 3)), profile)
-            _print_json({"parameters": {key: str(v) for key, v in params.items()},
-                         "certificate": cert.to_json()})
-            return 0 if cert.holds else 1
-        report = lll.verify_paper_inequalities("thm3", n=n, k=k, q=q, p=p)
-    else:
-        delta = _resolve_delta(args)
-        if args.search_mu:
-            profiles = {
-                INTERSECTING: clique_cover_rainbow(delta, n, k, INTERSECTING),
-                DISJOINT: clique_cover_rainbow(delta, n, k, DISJOINT),
-            }
-            p_by_class = {
-                INTERSECTING: Fraction(1, falling_factorial(n, 3)),
-                DISJOINT: Fraction(1, falling_factorial(n, 4)),
-            }
-            params, cert = lll.optimize_mu(p_by_class, profiles)
-            _print_json({"parameters": {key: str(v) for key, v in params.items()},
-                         "certificate": cert.to_json()})
-            return 0 if cert.holds else 1
-        report = lll.verify_paper_inequalities("thm7", n=n, k=k, delta=delta)
-    report = dict(report)
-    for key in ("k", "mu", "mu_int", "mu_dis", "q", "p"):
-        if key in report:
-            report[key] = str(report[key])
+    setting = "thm3" if args.mode == "proper" else "thm7"
+    stats = cherry_stats(_read_graph(args.graph)) if args.graph else None
+    inputs = {"delta": args.delta, "stats": stats, "q": args.q, "p": args.p}
+    if args.search_mu:
+        params, cert = lll.optimize_mu(*lll.certificate_inputs(setting, args.n, args.k, **inputs))
+        _print_json({"parameters": params, "certificate": cert.to_json()})
+        return 0 if cert.holds else 1
+    report = lll.verify_paper_inequalities(setting, n=args.n, k=args.k, **inputs)
     _print_json(report)
     return 0 if report["ok"] else 1
 
@@ -187,10 +144,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
     mode = spec["mode"]
     colouring_kind = spec.get("colouring", "global")
+    if colouring_kind not in ("global", "local"):
+        raise DomainError(f"unknown colouring {colouring_kind!r}; expected 'global' or 'local'")
     family = spec.get("graph_family", "cycle")
     if family not in _FAMILIES:
         raise DomainError(f"unknown graph family {family!r}")
     graph_size = spec.get("graph_size", "n")
+    if graph_size != "n" and not (type(graph_size) is int and graph_size > 0):
+        raise DomainError(f'graph_size must be "n" or a positive integer, got {graph_size!r}')
     n_values = spec["n_values"]
     k_values = spec["k_values"]
     seeds_per_cell = int(spec.get("seeds_per_cell", 1))
@@ -202,7 +163,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     successes = 0
     for n in n_values:
         for k in k_values:
-            size = n if graph_size == "n" else int(graph_size)
+            size = n if graph_size == "n" else graph_size
             g = _FAMILIES[family](size)
             delta = max(g.degrees, default=0)
             for _ in range(seeds_per_cell):

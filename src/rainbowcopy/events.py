@@ -258,14 +258,13 @@ class NeighbourhoodProfile:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    try:
+        if isinstance(x, (Fraction, int, float, str)):
+            return Fraction(x)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass  # a malformed string, a zero denominator, NaN or an infinity
     raise DomainError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -349,11 +348,7 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
     bounds_meta = boundedness(colouring)
     if mode == "proper":
         k = bounds_meta.local_bound
-        stats = cherry_stats(g)
-        profile = proper_profile_from_rates(
-            stats.max_cherries_per_vertex, Fraction(stats.total_cherries, n), n, k
-        )
-        bounds = profile.bounds_by_tag()
+        bounds = clique_cover_proper(cherry_stats(g), n, k).bounds_by_tag()
     else:
         k = bounds_meta.global_bound
         delta = max(cherry_stats(g).max_degree, 1)

@@ -21,14 +21,18 @@ per weight.  In log mu the margin is log-concave, so one golden-section
 search (nested for two weights) finds the optimum in the box; it runs in
 floats, and the returned certificate is always re-evaluated in exact
 rational arithmetic at the chosen parameters.
+
+The paper's two settings, thm3 (properly coloured copies) and thm7 (rainbow
+copies), are built in one place, certificate_inputs, from which the
+reference chain, the weight search and the command line all start.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import CapacityError, DomainError
 from .events import (
@@ -51,6 +55,7 @@ __all__ = [
     "check_cluster_exact",
     "check_cluster_clique",
     "optimize_mu",
+    "certificate_inputs",
     "threshold",
     "verify_paper_inequalities",
     "paper_mu_proper",
@@ -287,6 +292,15 @@ def _clique_terms(p_by_class, clique_profile) -> dict[str, tuple[Fraction, list]
     }
 
 
+def _clique_factor(cliques, mu_by_type) -> Fraction:
+    """prod over cliques (1 + sum_t mu_t * bound_t) ** count, for the cliques
+    of one type in _clique_terms."""
+    factor = Fraction(1)
+    for count, bounds in cliques:
+        factor *= sum((mu_by_type[t] * b for t, b in bounds.items()), Fraction(1)) ** count
+    return factor
+
+
 def check_cluster_clique(p_by_class, clique_profile, mu) -> LLLCertificate:
     """Clique-cover relaxation of the exact cluster condition.
 
@@ -313,10 +327,7 @@ def check_cluster_clique(p_by_class, clique_profile, mu) -> LLLCertificate:
 
     conditions = []
     for event_type, (p, cliques) in terms.items():
-        denom = Fraction(1)
-        for count, bounds in cliques:
-            denom *= (1 + sum(mu_by_type[t] * b for t, b in bounds.items())) ** count
-        rhs = mu_by_type[event_type] / denom
+        rhs = mu_by_type[event_type] / _clique_factor(cliques, mu_by_type)
         conditions.append(ConditionCheck(event_type, p, rhs, p <= rhs))
     if single:
         variant, parameters = "cluster-clique-3prime", {"mu": mu_by_type[label]}
@@ -433,20 +444,33 @@ def optimize_mu(p_by_class, clique_profile):
             check_cluster_clique(p_by_class, clique_profile, tuple(mus)))
 
 
-def _resolve_qp(n: int, stats=None, q=None, p=None) -> tuple[Fraction, Fraction]:
+def _resolve_qp(n: int, *, delta=None, stats=None, q=None, p=None) -> tuple[Fraction, Fraction]:
+    """Cherry rates (q, p) of the thm3 setting, resolved as certificate_inputs says."""
     if stats is not None:
         return Fraction(stats.max_cherries_per_vertex), Fraction(stats.total_cherries, n)
-    if q is None or p is None:
-        raise DomainError("need cherry statistics or explicit q and p")
-    return _as_fraction(q), _as_fraction(p)
+    if q is not None and p is not None:
+        return _as_fraction(q), _as_fraction(p)
+    if delta is not None:
+        d2 = Fraction(delta * delta)
+        return Fraction(3, 2) * d2, d2 / 2
+    raise DomainError("thm3 needs cherry statistics, q and p, or a maximum degree")
+
+
+def _thm3_bound(n: int, q: Fraction, p: Fraction) -> Fraction:
+    """(1/3)(5/6)^5 (n - 2) / (q + 3p), the thm3 bound on k."""
+    weight = q + 3 * p
+    if weight <= 0:
+        raise DomainError(f"thm3 bound needs q + 3p > 0 (a graph with cherries), got {weight}")
+    return PROPER_THRESHOLD_COEFF * (n - 2) / weight
 
 
 def threshold(theorem: str, n: int, *, delta: int | None = None, stats=None, q=None, p=None) -> int:
     """Largest admissible integer colour bound k for a named threshold rule.
 
     thm2: largest k with 216*(3k + 2*delta)^7 * (delta + 1)^20 * k < n
-          (strict; ascending integer search, capped at n)
-    thm3: floor of (1/3)(5/6)^5 (n-2) / (q + 3p), locally bounded, proper
+          (strict; bisection over [0, n])
+    thm3: floor of (1/3)(5/6)^5 (n-2) / (q + 3p), locally bounded, proper;
+          the rates as in certificate_inputs
     thm5: floor(n / 64), bounded, rainbow cycles
     thm7: floor(n / (51 * delta^2)), bounded, rainbow
     cor4: floor((n - 2) / (22.4 * delta^2)), locally bounded, proper
@@ -462,29 +486,62 @@ def threshold(theorem: str, n: int, *, delta: int | None = None, stats=None, q=N
     if theorem in ("thm2", "thm7", "cor4"):
         if delta is None:
             raise DomainError(f"{theorem} needs a maximum degree")
-        if theorem in ("thm7", "cor4") and delta < 1:
-            raise DomainError(f"{theorem} needs delta > 0, got {delta}")
+        least = 0 if theorem == "thm2" else 1
+        if delta < least:
+            raise DomainError(f"{theorem} needs delta >= {least}, got {delta}")
     if theorem == "thm2":
-        d = delta if delta is not None else 0
-        k = 0
-        while k < n:
-            nxt = k + 1
-            if 216 * (3 * nxt + 2 * d) ** 7 * (d + 1) ** 20 * nxt < n:
-                k = nxt
+        # the left side grows with k, so the k that satisfy it are a prefix
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if 216 * (3 * mid + 2 * delta) ** 7 * (delta + 1) ** 20 * mid < n:
+                lo = mid
             else:
-                break
-        return k
+                hi = mid - 1
+        return lo
     if theorem == "thm7":
         return n // (51 * delta * delta)
     if theorem == "cor4":
         return max(0, (5 * (n - 2)) // (112 * delta * delta))
     # thm3
-    q_val, p_val = _resolve_qp(n, stats=stats, q=q, p=p)
-    weight = q_val + 3 * p_val
-    if weight <= 0:
-        raise DomainError("threshold undefined for a graph without cherries (q + 3p = 0)")
-    bound = PROPER_THRESHOLD_COEFF * (n - 2) / weight
-    return max(0, math.floor(bound))
+    q_val, p_val = _resolve_qp(n, delta=delta, stats=stats, q=q, p=p)
+    return max(0, math.floor(_thm3_bound(n, q_val, p_val)))
+
+
+def certificate_inputs(setting: str, n: int, k, *, delta: int | None = None,
+                       stats=None, q=None, p=None):
+    """Event probabilities and clique profile(s) of a reference certificate.
+
+    setting "thm3" (proper copies): one intersecting event type, probability
+        1/(n)_3, profile proper_profile_from_rates(q, p, n, k).  The rates
+        come from stats, else from q and p, else from delta as its worst case
+        q = (3/2) delta^2, p = delta^2 / 2.
+    setting "thm7" (rainbow copies): the intersecting and disjoint types,
+        probabilities 1/(n)_3 and 1/(n)_4, profiles clique_cover_rainbow;
+        delta defaults to stats.max_degree.
+
+    Returns (probabilities, profiles) in the form check_cluster_clique and
+    optimize_mu take: one Fraction and one profile for thm3, mappings by
+    event type for thm7.  k is not checked against the threshold.
+    """
+    if delta is None and stats is not None:
+        delta = stats.max_degree
+    if setting == "thm3":
+        if n < 3:
+            raise DomainError(f"thm3 needs n >= 3, got {n}")
+        q_val, p_val = _resolve_qp(n, delta=delta, stats=stats, q=q, p=p)
+        return Fraction(1, falling_factorial(n, 3)), proper_profile_from_rates(q_val, p_val, n, k)
+    if setting == "thm7":
+        if delta is None or delta < 1:
+            raise DomainError(f"thm7 needs a maximum degree delta >= 1, got {delta}")
+        if n < 4:
+            raise DomainError(f"thm7 needs n >= 4, got {n}")
+        probabilities = {
+            INTERSECTING: Fraction(1, falling_factorial(n, 3)),
+            DISJOINT: Fraction(1, falling_factorial(n, 4)),
+        }
+        return probabilities, {t: clique_cover_rainbow(delta, n, k, t) for t in probabilities}
+    raise DomainError(f"unknown setting {setting!r}; expected 'thm3' or 'thm7'")
 
 
 def paper_mu_proper(n: int) -> Fraction:
@@ -502,18 +559,22 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
                               stats=None, q=None, p=None) -> dict:
     """Recompute the reference inequality chain behind a threshold, exactly.
 
+    Both settings start from certificate_inputs; direct_certificate is
+    check_cluster_clique on its output at the reference weights, and the
+    product factor is a clique factor of the same terms.
+
     setting "thm3" (proper copies, locally bounded):
         with mu = (6/5)^6/(n)_3 and k within the thm3 bound, check
           k*mu <= (2/5) / ((n)_2 (q + 3p)),
-          (1 + q (n)_2 k mu)^3 (1 + 3p (n)_2 k mu)^3 <= (6/5)^6,
-          1/(n)_3 <= mu / product.
+          product factor: prod over cliques (1 + mu * bound)^3 <= (6/5)^6,
+          certificate: 1/(n)_3 <= mu / product, the direct certificate's condition.
 
     setting "thm7" (rainbow copies, bounded):
         with mu_int = (7/(5n))^3, mu_dis = (7/(5n))^4 and k <= n/(51 delta^2),
-        check the product factor against (50/51)(14/10) and the two
-        boundary inequalities (51/(50n))^4 >= 1/(n)_4 (needs n >= 77) and
-        (51/(50n))^3 >= 1/(n)_3.  The direct two-type certificate at the
-        same weights is reported alongside the chain.
+        check the product factor (the graph-side times the image-side mixed
+        clique factor of one event vertex) against (50/51)(14/10) and the
+        two boundary inequalities (51/(50n))^4 >= 1/(n)_4 (needs n >= 77)
+        and (51/(50n))^3 >= 1/(n)_3.
 
     Parameters outside the threshold hypothesis (k above the bound, bad
     delta) raise DomainError; the n >= 77 boundary itself is a reported
@@ -522,101 +583,56 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
     k = _as_fraction(k)
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
-    steps: list[ConditionCheck] = []
     report: dict = {"setting": setting, "n": n, "k": k}
 
     if setting == "thm3":
-        if n < 3:
-            raise DomainError(f"thm3 chain needs n >= 3, got {n}")
-        q_val, p_val = _resolve_qp(n, stats=stats, q=q, p=p)
-        weight = q_val + 3 * p_val
-        if weight <= 0:
-            raise DomainError("thm3 chain undefined for q + 3p = 0")
-        bound = PROPER_THRESHOLD_COEFF * (n - 2) / weight
+        q, p = _resolve_qp(n, delta=delta, stats=stats, q=q, p=p)
+        probability, profile = certificate_inputs("thm3", n, k, q=q, p=p)
+        bound = _thm3_bound(n, q, p)
         if k > bound:
             raise DomainError(f"k={k} exceeds the thm3 bound {bound}")
         mu = paper_mu_proper(n)
-        n2 = falling_factorial(n, 2)
-        n3 = falling_factorial(n, 3)
-        steps.append(
-            ConditionCheck("k*mu bound", k * mu, Fraction(2, 5) / (n2 * weight),
-                           k * mu <= Fraction(2, 5) / (n2 * weight))
-        )
-        product = (1 + q_val * n2 * k * mu) ** 3 * (1 + 3 * p_val * n2 * k * mu) ** 3
-        steps.append(
+        ((label, (_, cliques)),) = _clique_terms(probability, profile).items()
+        product = _clique_factor(cliques, {label: mu})
+        direct = check_cluster_clique(probability, profile, mu)
+        k_mu_cap = Fraction(2, 5) / (falling_factorial(n, 2) * (q + 3 * p))
+        steps = [
+            ConditionCheck("k*mu bound", k * mu, k_mu_cap, k * mu <= k_mu_cap),
             ConditionCheck("product factor", product, Fraction(6, 5) ** 6,
-                           product <= Fraction(6, 5) ** 6)
-        )
-        steps.append(
-            ConditionCheck("certificate", Fraction(1, n3), mu / product,
-                           Fraction(1, n3) <= mu / product)
-        )
-        profile = proper_profile_from_rates(q_val, p_val, n, k)
-        direct = check_cluster_clique(Fraction(1, n3), profile, mu)
-        report.update(
-            {
-                "mu": mu,
-                "q": q_val,
-                "p": p_val,
-                "product_factor": float(product),
-                "direct_certificate": direct.to_json(),
-            }
-        )
+                           product <= Fraction(6, 5) ** 6),
+            replace(direct.conditions[0], label="certificate"),
+        ]
+        report.update({"mu": mu, "q": q, "p": p})
 
     elif setting == "thm7":
         if delta is None and stats is not None:
             delta = stats.max_degree
-        if delta is None or delta < 1:
-            raise DomainError(f"thm7 chain needs delta >= 1, got {delta}")
-        if n < 4:
-            raise DomainError(f"thm7 chain needs n >= 4, got {n}")
+        probabilities, profiles = certificate_inputs("thm7", n, k, delta=delta)
         bound = Fraction(n, 51 * delta * delta)
         if k > bound:
             raise DomainError(f"k={k} exceeds the thm7 bound {bound}")
         mu_int, mu_dis = paper_mu_rainbow(n)
-        d2 = Fraction(delta * delta)
-        g_int = Fraction(3, 2) * d2 * n * n * k
-        g_dis = d2 * n**3 * k
-        kn_int = d2 * n * n * k
-        kn_dis = d2 * n**3 * k
-        factor_g = 1 + g_int * mu_int + g_dis * mu_dis
-        factor_kn = 1 + kn_int * mu_int + kn_dis * mu_dis
-        product = factor_g * factor_kn
+        mu = {INTERSECTING: mu_int, DISJOINT: mu_dis}
+        # an event vertex has one graph-side and one image-side mixed clique
+        cliques = _clique_terms(probabilities, profiles)[INTERSECTING][1]
+        product = _clique_factor([(1, bounds) for _, bounds in cliques], mu)
         cap = Fraction(50, 51) * Fraction(14, 10)
-        steps.append(ConditionCheck("product factor", product, cap, product <= cap))
-        n3 = falling_factorial(n, 3)
-        n4 = falling_factorial(n, 4)
+        p_int, p_dis = probabilities[INTERSECTING], probabilities[DISJOINT]
         dis_lower = Fraction(51, 50 * n) ** 4
-        steps.append(
-            ConditionCheck("p_dis boundary", Fraction(1, n4), dis_lower,
-                           dis_lower >= Fraction(1, n4))
-        )
         int_lower = Fraction(51, 50 * n) ** 3
-        steps.append(
-            ConditionCheck("p_int boundary", Fraction(1, n3), int_lower,
-                           int_lower >= Fraction(1, n3))
-        )
-        profiles = {
-            INTERSECTING: clique_cover_rainbow(delta, n, k, INTERSECTING),
-            DISJOINT: clique_cover_rainbow(delta, n, k, DISJOINT),
-        }
-        direct = check_cluster_clique(
-            {INTERSECTING: Fraction(1, n3), DISJOINT: Fraction(1, n4)},
-            profiles,
-            (mu_int, mu_dis),
-        )
-        report.update(
-            {
-                "mu_int": mu_int,
-                "mu_dis": mu_dis,
-                "product_factor": float(product),
-                "direct_certificate": direct.to_json(),
-            }
-        )
+        steps = [
+            ConditionCheck("product factor", product, cap, product <= cap),
+            ConditionCheck("p_dis boundary", p_dis, dis_lower, dis_lower >= p_dis),
+            ConditionCheck("p_int boundary", p_int, int_lower, int_lower >= p_int),
+        ]
+        direct = check_cluster_clique(probabilities, profiles, mu)
+        report.update({"mu_int": mu_int, "mu_dis": mu_dis})
 
     else:
         raise DomainError(f"unknown setting {setting!r}; expected 'thm3' or 'thm7'")
 
+    report["product_factor"] = float(product)
+    report["direct_certificate"] = direct.to_json()
     report["steps"] = [s.to_json() for s in steps]
     report["ok"] = all(s.satisfied for s in steps)
     return report

@@ -1,9 +1,17 @@
 import csv
 import json
+from fractions import Fraction
 
 import pytest
 
-from rainbowcopy import constant_colouring, cycle_graph, path_graph, save_colouring
+from rainbowcopy import (
+    certificate_inputs,
+    constant_colouring,
+    cycle_graph,
+    optimize_mu,
+    path_graph,
+    save_colouring,
+)
 from rainbowcopy.cli import main
 
 
@@ -126,6 +134,16 @@ class TestCertify:
         assert exc.value.code == 2
         assert "not a rational number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode, setting, k", [("rainbow", "thm7", 4), ("proper", "thm3", 11)])
+    def test_search_mu_is_optimize_mu_on_certificate_inputs(self, mode, setting, k, capsys):
+        code = main(["certify", "--mode", mode, "--n", "1000", "--delta", "2", "--k", str(k),
+                     "--search-mu"])
+        doc = json.loads(capsys.readouterr().out)
+        params, cert = optimize_mu(*certificate_inputs(setting, 1000, Fraction(k), delta=2))
+        assert doc == {"parameters": {key: str(v) for key, v in params.items()},
+                       "certificate": json.loads(json.dumps(cert.to_json()))}
+        assert code == (0 if cert.holds else 1)
+
     @pytest.mark.parametrize("mode", ["rainbow", "proper"])
     def test_search_mu_huge_n_fails_with_json(self, mode, capsys):
         code = main(["certify", "--mode", mode, "--n", str(10**40), "--delta", "1",
@@ -217,3 +235,27 @@ class TestExperiment:
         second = self.run(tmp_path, "b.csv")
         strip = lambda rows: [r[:-1] for r in rows]
         assert strip(first) == strip(second)
+
+    @pytest.mark.parametrize("change", [
+        {"colouring": "globl"},
+        {"graph_size": "abc"},
+        {"graph_size": 2.5},
+        {"graph_size": 0},
+        {"graph_size": True},
+    ])
+    def test_bad_spec_exit_2(self, change, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**self.SPEC, **change}), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["experiment", "--spec", str(spec_file), "-o", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fixed_graph_size(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({**self.SPEC, "graph_size": 6, "colouring": "local"}),
+                             encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["experiment", "--spec", str(spec_file), "-o", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            assert len(list(csv.reader(handle))) == 13

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,14 @@ from rainbowcopy import (
     CapacityError,
     DomainError,
     DependencyGraph,
+    certificate_inputs,
     check_asymmetric,
     check_cluster_clique,
     check_cluster_exact,
     check_symmetric,
     cherry_stats,
+    clique_cover_proper,
+    complete_graph,
     cycle_graph,
     falling_factorial,
     independent_set_polynomial,
@@ -399,10 +403,35 @@ class TestThreshold:
         big = threshold("thm2", 10**14, delta=1)
         assert big >= 1 and lhs_d1(big) < 10**14 <= lhs_d1(big + 1)
 
+    def test_thm2_bisection_matches_the_ascending_search(self):
+        rng = random.Random(41)
+        for delta in (0, 1, 2):
+            lhs = lambda kk: 216 * (3 * kk + 2 * delta) ** 7 * (delta + 1) ** 20 * kk
+            ns = [1, 2, 3, 10**6, 10**40]
+            ns += [lhs(kk) + e for kk in (1, 2, 3, 17) for e in (-1, 0, 1)]
+            ns += [rng.randrange(1, 10 ** rng.randint(1, 40)) for _ in range(25)]
+            for n in ns:
+                assert threshold("thm2", n, delta=delta) == ascending_thm2(n, delta), (n, delta)
+
+    def test_thm2_huge_n_is_fast(self):
+        n = 10**100
+        start = time.perf_counter()
+        k = threshold("thm2", n, delta=0)
+        assert time.perf_counter() - start < 0.1
+        lhs = lambda kk: 216 * (3 * kk) ** 7 * kk
+        assert k > 0 and lhs(k) < n <= lhs(k + 1)
+
     def test_delta_zero_rejected(self):
         for theorem in ("thm7", "cor4"):
             with pytest.raises(DomainError):
                 threshold(theorem, 100, delta=0)
+        with pytest.raises(DomainError):
+            threshold("thm2", 100, delta=-1)
+
+    def test_thm3_from_delta_is_the_worst_case_rates(self):
+        for n, delta in ((1000, 2), (5000, 1), (777, 3)):
+            q, p = Fraction(3, 2) * delta * delta, Fraction(delta * delta, 2)
+            assert threshold("thm3", n, delta=delta) == threshold("thm3", n, q=q, p=p)
 
     def test_no_cherries_rejected(self):
         with pytest.raises(DomainError):
@@ -422,6 +451,18 @@ class TestThreshold:
 
 def lhs_d1(kk: int) -> int:
     return 216 * (3 * kk + 2) ** 7 * 2**20 * kk
+
+
+def ascending_thm2(n: int, d: int) -> int:
+    """The linear search threshold("thm2") ran before the bisection."""
+    k = 0
+    while k < n:
+        nxt = k + 1
+        if 216 * (3 * nxt + 2 * d) ** 7 * (d + 1) ** 20 * nxt < n:
+            k = nxt
+        else:
+            break
+    return k
 
 
 class TestVerifyPaperInequalities:
@@ -470,6 +511,141 @@ class TestVerifyPaperInequalities:
             p = Fraction(1, 2) * delta * delta
             bound = Fraction(3125, 23328) * (n - 2) / (q + 3 * p)
             assert bound >= Fraction(n - 2) / Fraction(224 * delta * delta, 10)
+
+
+def falling(n: int, r: int) -> int:
+    return math.prod(range(n - r + 1, n + 1))
+
+
+def thm7_by_hand(n, delta, k):
+    """The thm7 chain written out from the paper: the four clique bounds,
+    the graph-side and image-side factors, the boundary steps and the
+    two-type certificate at the reference weights."""
+    mu_int, mu_dis = Fraction(7, 5 * n) ** 3, Fraction(7, 5 * n) ** 4
+    d2 = Fraction(delta * delta)
+    g_int = Fraction(3, 2) * d2 * n * n * k
+    g_dis = d2 * n**3 * k
+    kn_int = d2 * n * n * k
+    kn_dis = d2 * n**3 * k
+    factor_g = 1 + g_int * mu_int + g_dis * mu_dis
+    factor_kn = 1 + kn_int * mu_int + kn_dis * mu_dis
+    product = factor_g * factor_kn
+    p_int, p_dis = Fraction(1, falling(n, 3)), Fraction(1, falling(n, 4))
+    steps = [
+        (product, Fraction(50, 51) * Fraction(14, 10)),
+        (p_dis, Fraction(51, 50 * n) ** 4),
+        (p_int, Fraction(51, 50 * n) ** 3),
+    ]
+    # each event vertex has a graph-side and an image-side mixed clique
+    direct = [(p_int, mu_int / product**3), (p_dis, mu_dis / product**4)]
+    return product, steps, direct
+
+
+def thm3_by_hand(n, q, p, k):
+    """The thm3 chain written out from the paper: the cubic product of the
+    three graph-side and three image-side cliques."""
+    mu = Fraction(6, 5) ** 6 / falling(n, 3)
+    n2 = falling(n, 2)
+    product = (1 + q * n2 * k * mu) ** 3 * (1 + 3 * p * n2 * k * mu) ** 3
+    p3 = Fraction(1, falling(n, 3))
+    steps = [
+        (k * mu, Fraction(2, 5) / (n2 * (q + 3 * p))),
+        (product, Fraction(6, 5) ** 6),
+        (p3, mu / product),
+    ]
+    return product, steps, [(p3, mu / product)]
+
+
+def assert_report_matches(report, product, steps, direct):
+    assert report["product_factor"] == float(product)
+    assert [s["satisfied"] for s in report["steps"]] == [lhs <= rhs for lhs, rhs in steps]
+    assert [(s["lhs"], s["rhs"]) for s in report["steps"]] == [
+        (float(lhs), float(rhs)) for lhs, rhs in steps
+    ]
+    cert = report["direct_certificate"]
+    assert [(c["lhs"], c["rhs"], c["satisfied"]) for c in cert["conditions"]] == [
+        (float(lhs), float(rhs), lhs <= rhs) for lhs, rhs in direct
+    ]
+    assert cert["verdict"] == ("holds" if all(lhs <= rhs for lhs, rhs in direct) else "fails")
+    assert cert["margin_exact"] == str(min(rhs / lhs for lhs, rhs in direct))
+
+
+REFERENCE_NS = sorted({76, 77, 100, 204} | {round(76 * (10**6 / 76) ** (i / 9)) for i in range(10)})
+
+
+def reference_ks(bound):
+    return [k for k in (Fraction(math.floor(bound)), Fraction(math.floor(bound) - 1), bound) if k >= 0]
+
+
+class TestReferenceArithmetic:
+    """verify_paper_inequalities against the paper's formulas, kept here as
+    an independent reference."""
+
+    @pytest.mark.parametrize("delta", [1, 2, 3])
+    def test_thm7(self, delta):
+        for n in REFERENCE_NS:
+            for k in reference_ks(Fraction(n, 51 * delta * delta)):
+                report = verify_paper_inequalities("thm7", n=n, k=k, delta=delta)
+                assert_report_matches(report, *thm7_by_hand(n, delta, k))
+                assert report["ok"] == (n >= 77)
+
+    @pytest.mark.parametrize("delta", [1, 2, 3])
+    def test_thm3(self, delta):
+        q, p = Fraction(3, 2) * delta * delta, Fraction(delta * delta, 2)
+        for n in REFERENCE_NS:
+            for k in reference_ks(Fraction(3125, 23328) * (n - 2) / (q + 3 * p)):
+                report = verify_paper_inequalities("thm3", n=n, k=k, q=q, p=p)
+                assert_report_matches(report, *thm3_by_hand(n, q, p, k))
+                assert report["ok"]
+                assert verify_paper_inequalities("thm3", n=n, k=k, delta=delta) == report
+
+    def test_thm3_with_stats(self):
+        for g in (cycle_graph(1000), complete_graph(4)):
+            stats = cherry_stats(g)
+            n = 1000
+            q, p = Fraction(stats.max_cherries_per_vertex), Fraction(stats.total_cherries, n)
+            k = threshold("thm3", n, stats=stats)
+            report = verify_paper_inequalities("thm3", n=n, k=k, stats=stats)
+            assert_report_matches(report, *thm3_by_hand(n, q, p, Fraction(k)))
+
+
+class TestCertificateInputs:
+    def test_thm3_matches_the_events_profiles(self):
+        stats = cherry_stats(cycle_graph(1000))
+        prob, profile = certificate_inputs("thm3", 1000, 22, stats=stats)
+        assert prob == Fraction(1, falling(1000, 3))
+        assert profile == clique_cover_proper(stats, 1000, 22)
+        q, p = Fraction(3, 2) * 4, Fraction(4, 2)
+        assert certificate_inputs("thm3", 1000, 11, delta=2) == (
+            prob, proper_profile_from_rates(q, p, 1000, 11))
+
+    def test_thm7_matches_the_events_profiles(self):
+        # the maximum degree comes from the statistics when delta is not given
+        inputs = certificate_inputs("thm7", 204, 4, stats=cherry_stats(cycle_graph(5)))
+        assert inputs == rainbow_cell(204, 2, 4)
+
+    @pytest.mark.parametrize("setting, n, kwargs", [
+        ("thm3", 2, {"delta": 1}),
+        ("thm3", 100, {}),
+        ("thm3", 100, {"q": 1}),
+        ("thm7", 3, {"delta": 1}),
+        ("thm7", 100, {}),
+        ("thm7", 100, {"delta": 0}),
+        ("thm5", 100, {"delta": 1}),
+    ])
+    def test_rejected(self, setting, n, kwargs):
+        with pytest.raises(DomainError):
+            certificate_inputs(setting, n, 1, **kwargs)
+
+
+@pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), float("inf"), float("-inf"), None])
+def test_bad_rationals_raise_domain_error(bad):
+    with pytest.raises(DomainError):
+        proper_profile_from_rates(bad, 1, 5, 1)
+    with pytest.raises(DomainError):
+        check_cluster_clique(Fraction(1, 60), single_clique_profile(2), bad)
+    with pytest.raises(DomainError):
+        verify_paper_inequalities("thm7", n=100, k=bad, delta=1)
 
 
 class TestCliqueProductDominance:
