@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import lll
 from .colouring import (
+    MAX_VERTICES,
     boundedness,
     gen_k_bounded,
     gen_locally_k_bounded,
@@ -140,23 +141,44 @@ def _derive_seed(master_seed: int, trial_id: int) -> int:
 _FAMILIES = {"cycle": cycle_graph, "path": path_graph, "complete": complete_graph}
 
 
+def _int_list(spec: dict, key: str, low: int) -> list[int]:
+    values = spec[key]
+    if not (isinstance(values, list) and values
+            and all(type(x) is int and x >= low for x in values)):
+        raise DomainError(f"{key} must be a non-empty list of integers >= {low}, got {values!r}")
+    return values
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    if not isinstance(spec, dict):
+        raise DomainError(f"the experiment spec must be a JSON object, got {spec!r}")
     mode = spec["mode"]
+    if mode not in ("proper", "rainbow"):
+        raise DomainError(f"unknown mode {mode!r}; expected 'proper' or 'rainbow'")
     colouring_kind = spec.get("colouring", "global")
     if colouring_kind not in ("global", "local"):
         raise DomainError(f"unknown colouring {colouring_kind!r}; expected 'global' or 'local'")
     family = spec.get("graph_family", "cycle")
-    if family not in _FAMILIES:
+    if not (isinstance(family, str) and family in _FAMILIES):
         raise DomainError(f"unknown graph family {family!r}")
     graph_size = spec.get("graph_size", "n")
     if graph_size != "n" and not (type(graph_size) is int and graph_size > 0):
         raise DomainError(f'graph_size must be "n" or a positive integer, got {graph_size!r}')
-    n_values = spec["n_values"]
-    k_values = spec["k_values"]
-    seeds_per_cell = int(spec.get("seeds_per_cell", 1))
-    master_seed = int(spec.get("master_seed", 0))
+    n_values = _int_list(spec, "n_values", 2)
+    k_values = _int_list(spec, "k_values", 1)
+    largest = max(n_values + ([] if graph_size == "n" else [graph_size]))
+    if largest > MAX_VERTICES:
+        raise CapacityError(f"n = {largest} exceeds the colouring cap of {MAX_VERTICES} vertices")
+    seeds_per_cell = spec.get("seeds_per_cell", 1)
+    if not (type(seeds_per_cell) is int and seeds_per_cell > 0):
+        raise DomainError(f"seeds_per_cell must be a positive integer, got {seeds_per_cell!r}")
+    master_seed = spec.get("master_seed", 0)
+    if type(master_seed) is not int:
+        raise DomainError(f"master_seed must be an integer, got {master_seed!r}")
     max_resamples = spec.get("max_resamples")
+    if max_resamples is not None and not (type(max_resamples) is int and max_resamples >= 0):
+        raise DomainError(f"max_resamples must be null or an integer >= 0, got {max_resamples!r}")
 
     rows = []
     trial_id = 0

@@ -11,6 +11,12 @@ oracle and events modules read the table that way, and every other caller
 goes through the checked accessor EdgeColouring.colour.  n is capped at
 MAX_VERTICES, which keeps a table under 540 MB.
 
+load_colouring reads a document in blocks of whole lines, so besides the
+table it holds one block's tokens at a time, not the document's split
+lines.  Blocks in the order and form save_colouring writes go into the
+table in one slice each; any other order, orientation, spelling or
+comment is still accepted, line by line.
+
 Two boundedness measures matter: the *global* bound (largest number of
 edges sharing one colour anywhere in K_n) and the *local* bound (largest
 number of equally coloured edges meeting at a single vertex).  Generators
@@ -22,6 +28,7 @@ construction instead of by rejection.
 from __future__ import annotations
 
 import random
+import re
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -51,6 +58,10 @@ __all__ = [
 MAX_VERTICES = 16_384
 # Largest colour an array('i') cell holds.
 COLOUR_MAX = 2**31 - 1
+# Characters per block that load_colouring parses at once (whole lines).
+_BLOCK_CHARS = 1 << 16
+# A block as save_colouring writes it: three unsigned integers a line.
+_CANONICAL_BLOCK = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
 
 
 def all_edges(n: int) -> Iterator[tuple[int, int]]:
@@ -222,40 +233,58 @@ def save_colouring(colouring: EdgeColouring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_colouring(text: str) -> EdgeColouring:
-    """Parse a colouring document.
+def _store_canonical(
+    block: str, names: list[str], n: int, off: tuple[int, ...], table: array
+) -> int:
+    """Store a block of lines written in save_colouring's order and form.
 
-    Format: header "n <N>", then one "<u> <v> <c>" line per edge of K_n.
-    Every edge must appear exactly once.  '#' lines are comments.  Colours
-    are integers in 0..COLOUR_MAX and N is at most MAX_VERTICES.
+    The block is taken whole, with no per-line Python, when it matches the
+    grammar, its endpoint tokens name consecutive edge ids from the edge of
+    its first line on, none of those edges is filled yet and every colour
+    fits the table.  Returns its number of lines, or 0 when it is anything
+    else and the per-line parser has to read it.
     """
-    lines = text.splitlines()
-    n: int | None = None
-    for header_lineno, raw in enumerate(lines, start=1):
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 2 or parts[0] != "n":
-            raise FormatError(f"line {header_lineno}: expected header 'n <N>', got {raw.strip()!r}")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {header_lineno}: bad vertex count {parts[1]!r}") from None
-        if n < 1:
-            raise FormatError(f"line {header_lineno}: vertex count must be positive")
-        break
-    if n is None:
-        raise FormatError("empty document: missing 'n <N>' header")
-    _check_size(n)
-    expected = n * (n - 1) // 2
-    if len(lines) - header_lineno < expected:
-        raise FormatError(
-            f"colouring incomplete: {len(lines) - header_lineno} lines after the header, "
-            f"K_{n} has {expected} edges"
-        )
-    off = row_offsets(n)
-    table = array("i", [-1]) * expected
-    for lineno, raw in enumerate(lines[header_lineno:], start=header_lineno + 1):
+    if not (block.isascii() and _CANONICAL_BLOCK.fullmatch(block)):
+        return 0
+    tokens = block.split()
+    count = len(tokens) // 3
+    us, vs = tokens[0::3], tokens[1::3]
+    try:
+        u, v = int(us[0]), int(vs[0])
+    except ValueError:  # past int()'s digit limit
+        return 0
+    if not 0 <= u < v < n:
+        return 0
+    first = off[u] + v
+    if first + count > len(table) or table[first : first + count].count(-1) != count:
+        return 0
+    # the endpoint names of edges first .. first + count - 1, row by row
+    want_u: list[str] = []
+    want_v: list[str] = []
+    left = count
+    while left:
+        step = min(left, n - v)
+        want_u += [names[u]] * step
+        want_v += names[v : v + step]
+        left -= step
+        u, v = u + 1, u + 2
+    if us != want_u or vs != want_v:
+        return 0
+    try:
+        table[first : first + count] = array("i", map(int, tokens[2::3]))
+    except (ValueError, OverflowError):
+        return 0
+    return count
+
+
+def _parse_lines(
+    lines: list[str], first_lineno: int, n: int, off: tuple[int, ...], table: array
+) -> None:
+    """Store "<u> <v> <c>" lines one by one; lines[0] is line first_lineno.
+
+    This is the only place that reports a malformed edge line.
+    """
+    for lineno, raw in enumerate(lines, start=first_lineno):
         parts = raw.split()
         if not parts or parts[0].startswith("#"):
             continue
@@ -279,6 +308,74 @@ def load_colouring(text: str) -> EdgeColouring:
             problem = f"negative colour {c}" if c < 0 else f"colour {c} exceeds {COLOUR_MAX}"
             raise FormatError(f"line {lineno}: {problem}")
         table[e] = c
+
+
+def _cuts(text: str, start: int) -> Iterator[tuple[int, int]]:
+    """Consecutive spans of text[start:] of about _BLOCK_CHARS characters.
+
+    Each span ends just after a '\\n' or at the end of text.  No line
+    break pairs '\\n' with the character after it, so str.splitlines of
+    the spans, one after the other, gives the lines of the whole text.
+    """
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        yield start, end
+        start = end
+
+
+def load_colouring(text: str) -> EdgeColouring:
+    """Parse a colouring document.
+
+    Format: header "n <N>", then one "<u> <v> <c>" line per edge of K_n.
+    Every edge must appear exactly once.  '#' lines are comments.  Colours
+    are integers in 0..COLOUR_MAX and N is at most MAX_VERTICES.
+
+    The document is read in blocks of whole lines.  A block in the order
+    and form of save_colouring goes into the table in one slice; any other
+    block (comments, blank lines, other orders or orientations, CRLF,
+    signs, errors) goes through the per-line parser.
+    """
+    n: int | None = None
+    header_end = 0
+    lines = (line for s, e in _cuts(text, 0) for line in text[s:e].splitlines(keepends=True))
+    for header_lineno, raw in enumerate(lines, start=1):
+        header_end += len(raw)
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2 or parts[0] != "n":
+            raise FormatError(f"line {header_lineno}: expected header 'n <N>', got {raw.strip()!r}")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise FormatError(f"line {header_lineno}: bad vertex count {parts[1]!r}") from None
+        if n < 1:
+            raise FormatError(f"line {header_lineno}: vertex count must be positive")
+        break
+    if n is None:
+        raise FormatError("empty document: missing 'n <N>' header")
+    _check_size(n)
+    expected = n * (n - 1) // 2
+    # every '\n' ends a line of its own, so only a short count needs the exact one
+    if text.count("\n", header_end) < expected:
+        n_lines = len(text[header_end:].splitlines())
+        if n_lines < expected:
+            raise FormatError(
+                f"colouring incomplete: {n_lines} lines after the header, "
+                f"K_{n} has {expected} edges"
+            )
+    off = row_offsets(n)
+    names = [str(v) for v in range(n)]
+    table = array("i", [-1]) * expected
+    lineno = header_lineno
+    for start, end in _cuts(text, header_end):
+        block = text[start:end]
+        count = _store_canonical(block, names, n, off, table)
+        if not count:
+            block_lines = block.splitlines()
+            _parse_lines(block_lines, lineno + 1, n, off, table)
+            count = len(block_lines)
+        lineno += count
     n_missing = table.count(-1)
     if n_missing:
         examples = [table.index(-1)]

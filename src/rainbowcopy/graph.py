@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import DomainError, FormatError
+from .colouring import MAX_VERTICES
+from .errors import CapacityError, DomainError, FormatError
 
 __all__ = [
     "Graph",
@@ -88,6 +89,8 @@ def load_graph(text: str) -> Graph:
 
     Format: first meaningful line "n <N>", then one "<u> <v>" line per edge
     (0-based ids).  Lines starting with '#' and blank lines are ignored.
+    N is at most colouring.MAX_VERTICES, the largest K_n a colouring, and
+    so an embedding, can have.
     """
     n_vertices: int | None = None
     edges: set[tuple[int, int]] = set()
@@ -105,6 +108,10 @@ def load_graph(text: str) -> Graph:
                 raise FormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
             if n_vertices < 1:
                 raise FormatError(f"line {lineno}: vertex count must be positive")
+            if n_vertices > MAX_VERTICES:
+                raise CapacityError(
+                    f"line {lineno}: {n_vertices} vertices exceed the cap of {MAX_VERTICES}"
+                )
             continue
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected '<u> <v>', got {line!r}")

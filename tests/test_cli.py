@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from rainbowcopy import (
     save_colouring,
 )
 from rainbowcopy.cli import main
+from rainbowcopy.colouring import MAX_VERTICES
 
 
 def write_graph(path, g):
@@ -55,6 +57,19 @@ class TestStats:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["stats", "--graph", str(tmp_path / "nope.graph")]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["stats"],
+        ["certify", "--mode", "proper", "--n", "1000", "--k", "1"],
+        ["certify", "--mode", "rainbow", "--n", "1000", "--k", "1"],
+    ])
+    def test_forged_graph_header_fails_fast(self, command, tmp_path, capsys):
+        path = tmp_path / "forged.graph"
+        path.write_text("n 2000000\n0 1\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert main(command + ["--graph", str(path)]) == 2
+        assert time.perf_counter() - start < 0.1
+        assert "2000000 vertices exceed the cap" in capsys.readouterr().err
 
 
 class TestThreshold:
@@ -242,6 +257,22 @@ class TestExperiment:
         {"graph_size": 2.5},
         {"graph_size": 0},
         {"graph_size": True},
+        {"mode": "rainbw"},
+        {"graph_family": ["cycle"]},
+        {"n_values": ["a"]},
+        {"n_values": []},
+        {"n_values": 30},
+        {"n_values": [30, 1]},
+        {"n_values": [MAX_VERTICES + 1]},
+        {"graph_size": MAX_VERTICES + 1},
+        {"k_values": [0]},
+        {"k_values": [1.5]},
+        {"seeds_per_cell": "x"},
+        {"seeds_per_cell": 0},
+        {"master_seed": "x"},
+        {"master_seed": 1.5},
+        {"max_resamples": "x"},
+        {"max_resamples": -1},
     ])
     def test_bad_spec_exit_2(self, change, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
@@ -250,6 +281,23 @@ class TestExperiment:
         assert main(["experiment", "--spec", str(spec_file), "-o", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_spec_not_an_object_exit_2(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps([self.SPEC]), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["experiment", "--spec", str(spec_file), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_resamples", [None, 0])
+    def test_budget_null_or_zero(self, max_resamples, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec = {**self.SPEC, "n_values": [30], "max_resamples": max_resamples}
+        spec_file.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["experiment", "--spec", str(spec_file), "-o", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as handle:
+            assert len(list(csv.reader(handle))) == 7
 
     def test_fixed_graph_size(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"

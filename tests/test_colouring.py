@@ -3,9 +3,10 @@ import math
 import random
 import time
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_colouring
 from rainbowcopy import (
@@ -21,6 +22,7 @@ from rainbowcopy import (
     load_colouring,
     save_colouring,
 )
+from rainbowcopy import colouring
 from rainbowcopy.colouring import COLOUR_MAX, MAX_VERTICES, all_edges
 
 # colours of the K_4 edges 01, 02, 03, 12, 13, 23 (lexicographic order)
@@ -270,3 +272,243 @@ def test_saved_colourings_are_pinned(gen, n, k, seed, digest):
     text = save_colouring(gen(n, k, seed))
     assert _digest(text) == digest
     assert save_colouring(load_colouring(text)) == text
+
+
+def reference_load(text: str) -> EdgeColouring:
+    """The per-line loader that preceded the block parser, kept as an
+    independent reference: one str.splitlines over the whole document,
+    int() on every token, edge ids from a dict over all_edges."""
+    lines = text.splitlines()
+    n = None
+    for header_lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2 or parts[0] != "n":
+            raise FormatError(f"line {header_lineno}: expected header 'n <N>', got {raw.strip()!r}")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise FormatError(f"line {header_lineno}: bad vertex count {parts[1]!r}") from None
+        if n < 1:
+            raise FormatError(f"line {header_lineno}: vertex count must be positive")
+        break
+    if n is None:
+        raise FormatError("empty document: missing 'n <N>' header")
+    if n > MAX_VERTICES:
+        raise CapacityError(f"K_{n} exceeds the colouring cap of {MAX_VERTICES} vertices")
+    edges = list(all_edges(n))
+    if len(lines) - header_lineno < len(edges):
+        raise FormatError(
+            f"colouring incomplete: {len(lines) - header_lineno} lines after the header, "
+            f"K_{n} has {len(edges)} edges"
+        )
+    edge_id = {edge: e for e, edge in enumerate(edges)}
+    table = [-1] * len(edges)
+    for lineno, raw in enumerate(lines[header_lineno:], start=header_lineno + 1):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 3:
+            raise FormatError(f"line {lineno}: expected '<u> <v> <c>', got {raw.strip()!r}")
+        try:
+            u, v, c = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise FormatError(f"line {lineno}: non-integer token in {raw.strip()!r}") from None
+        if 0 <= u < v < n:
+            e = edge_id[u, v]
+        elif 0 <= v < u < n:
+            e = edge_id[v, u]
+        elif u == v:
+            raise FormatError(f"line {lineno}: loop edge {u} {v}")
+        else:
+            raise FormatError(f"line {lineno}: endpoint out of range in {raw.strip()!r}")
+        if table[e] != -1:
+            raise FormatError(f"line {lineno}: duplicate edge {u} {v}")
+        if not 0 <= c <= COLOUR_MAX:
+            problem = f"negative colour {c}" if c < 0 else f"colour {c} exceeds {COLOUR_MAX}"
+            raise FormatError(f"line {lineno}: {problem}")
+        table[e] = c
+    missing = [e for e, c in enumerate(table) if c == -1]
+    if missing:
+        examples = [edges[e] for e in missing[:3]]
+        raise FormatError(f"colouring incomplete: {len(missing)} missing edges, e.g. {examples}")
+    return EdgeColouring(n, table)
+
+
+def load_outcome(load, text: str):
+    """The colouring a loader returns, or the text of its FormatError."""
+    try:
+        return load(text)
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+def block_firsts(header: str, body: list[str]) -> list[int]:
+    """Indices into body (lines with their endings) of the lines that start
+    a parsing block of load_colouring, after the first block."""
+    text = header + "".join(body)
+    starts = {start for start, _ in colouring._cuts(text, len(header))}
+    firsts, offset = [], len(header)
+    for i, line in enumerate(body):
+        if offset in starts and i:
+            firsts.append(i)
+        offset += len(line)
+    return firsts
+
+
+# longer than any edge line, so inserted in front of the last line of a
+# block it spans the block's cut and becomes that block's last line
+LONG_COMMENT = "# " + "-" * 60
+LONG_BLANK = " " * 62
+
+
+def build_document(data, n: int, rng: random.Random) -> tuple[str, list[str]]:
+    """A valid colouring document of K_n: header and lines with endings.
+
+    It is save_colouring's text with variations that Hypothesis draws: a
+    shuffled edge order, or up to two windows of lines with shuffled
+    edges, flipped orientations, respelt colours or CRLF endings; and
+    comments or blank lines, some of them placed as the first or the last
+    line of a parsing block.
+    """
+    top = data.draw(st.sampled_from([9, 1000, COLOUR_MAX]), label="top colour")
+    edges = list(all_edges(n))
+    if data.draw(st.sampled_from([False, False, False, True]), label="shuffle all"):
+        rng.shuffle(edges)
+    lines = [[str(u), str(v), str(rng.randint(0, top)), "\n"] for u, v in edges]
+    n_windows = data.draw(st.integers(0, 2), label="windows")
+    for _ in range(n_windows):
+        kinds = data.draw(st.sets(st.sampled_from(["shuffle", "flip", "respell", "crlf"]),
+                                  min_size=1), label="window variations")
+        a = rng.randrange(len(lines))
+        window = lines[a : a + rng.randrange(1, 2000)]
+        if "shuffle" in kinds:
+            rng.shuffle(window)
+        for line in window:
+            if "flip" in kinds and rng.random() < 0.5:
+                line[0], line[1] = line[1], line[0]
+            if "respell" in kinds and rng.random() < 0.3:
+                line[2] = rng.choice(["0", "00", "+", "+0"]) + line[2]
+            if "respell" in kinds and rng.random() < 0.1:
+                line[2] += rng.choice(["\t", "  "])
+            if "crlf" in kinds:
+                line[3] = "\r\n"
+        lines[a : a + len(window)] = window
+    body = [f"{u} {v} {c}{end}" for u, v, c, end in lines]
+    header = data.draw(st.sampled_from(["n {}\n", "# colouring\n\nn {}\r\n"]), label="header")
+    header = header.format(n)
+    for _ in range(data.draw(st.integers(0, 1), label="comments anywhere")):
+        body.insert(rng.randrange(len(body) + 1), rng.choice(["# note\n", "\n", "  \r\n"]))
+    for _ in range(data.draw(st.integers(0, 2), label="comments at cuts")):
+        firsts = block_firsts(header, body)
+        i = rng.choice(firsts)
+        if rng.random() < 0.5:
+            body.insert(i, rng.choice(["# note\n", "\n"]))  # first line of its block
+        else:
+            body.insert(i - 1, rng.choice([LONG_COMMENT, LONG_BLANK]) + "\n")
+            assert i in block_firsts(header, body)  # the last line of its block
+    if data.draw(st.booleans(), label="drop the final line ending"):
+        body[-1] = body[-1].rstrip("\r\n")
+    return header, body
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(st.integers(150, 190), st.integers(0, 2**32), st.data())
+def test_block_parser_loads_what_the_reference_loads(n, seed, data):
+    header, body = build_document(data, n, random.Random(seed))
+    text = header + "".join(body)
+    expected = load_outcome(reference_load, text)
+    assert load_outcome(load_colouring, text) == expected
+
+
+def _bad_line(kind: str, n: int, line: str, other: str, rng: random.Random) -> str:
+    u, v, c = line.split()[:3]
+    if kind == "duplicate":
+        x, y, _ = other.split()[:3]
+        return f"{y} {x} 5" if rng.random() < 0.5 else f"{x} {y} 5"
+    return {
+        "loop": f"{u} {u} {c}",
+        "out of range": rng.choice([f"{u} {n} {c}", f"-1 {v} {c}", f"{n + 7} {u} {c}"]),
+        "non-integer": rng.choice([f"{u} {v} x", f"{u} 1.5 {c}", f"{u} {v} 0x1f"]),
+        "token count": rng.choice([f"{u} {v}", f"{u} {v} {c} 9", f"{u}"]),
+        "negative colour": f"{u} {v} -{int(c) + 1}",
+        "colour too large": rng.choice([f"{u} {v} {COLOUR_MAX + 1}", f"{u} {v} {'9' * 5000}"]),
+        "missing edge": "# no edge here",
+    }[kind]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    st.integers(150, 190),
+    st.integers(0, 2**32),
+    st.sampled_from(["duplicate", "loop", "out of range", "non-integer", "token count",
+                     "negative colour", "colour too large", "missing edge", "dropped line"]),
+    st.sampled_from(["anywhere", "first of a block", "last of a block"]),
+    st.data(),
+)
+def test_block_parser_reports_what_the_reference_reports(n, seed, kind, where, data):
+    rng = random.Random(seed)
+    header, body = build_document(data, n, rng)
+    data_lines = [i for i, line in enumerate(body) if line.split() and line[0] != "#"]
+    firsts = block_firsts(header, body)
+    candidates = set(data_lines) & {
+        "anywhere": set(data_lines),
+        "first of a block": set(firsts),
+        "last of a block": {i - 1 for i in firsts},
+    }[where]
+    assume(candidates)
+    i = rng.choice(sorted(candidates))
+    if kind == "dropped line":
+        del body[i]
+    else:
+        ending = body[i][len(body[i].rstrip("\r\n")):] or "\n"
+        bad = _bad_line(kind, n, body[i], body[rng.choice(data_lines)], rng)
+        # padded to the old length, so the line keeps its place in its block
+        body[i] = bad.ljust(len(body[i]) - len(ending)) + ending
+        if where != "anywhere":
+            assert (i + (where == "last of a block")) in block_firsts(header, body)
+    text = header + "".join(body)
+    expected = load_outcome(reference_load, text)
+    assert isinstance(expected, str)
+    assert load_outcome(load_colouring, text) == expected
+
+
+def test_every_line_break_of_splitlines_counts():
+    for brk in ("\r", "\r\n", "\v", "\x1c", "\x85", "\u2028"):
+        text = brk.join(["n 3", "0 1 7", "0 2 7", "1 2 9"])
+        assert load_colouring(text) == load_colouring(SMALL_DOC)
+        text = brk.join(["n 3", "0 1 7", "", "0 2 x", "1 2 9"])
+        with pytest.raises(FormatError, match="^line 4: non-integer token"):
+            load_colouring(text)
+        assert load_outcome(load_colouring, text) == load_outcome(reference_load, text)
+
+
+def test_lines_that_realign_into_triples_are_rejected():
+    # the tokens 0 1 7 / 0 2 5 / 1 2 9 are valid triples, the lines are not
+    text = "n 3\n0 1\n7 0 2 5\n1 2 9\n"
+    with pytest.raises(FormatError, match=r"^line 2: expected '<u> <v> <c>', got '0 1'$"):
+        load_colouring(text)
+    lines = save_colouring(gen_k_bounded(150, 3, 1)).split("\n")
+    lines[1] = lines[1].rsplit(" ", 1)[0]
+    lines[2] = lines[1][-1:] + " " + lines[2]
+    text = "\n".join(lines)
+    assert load_outcome(load_colouring, text) == load_outcome(reference_load, text)
+    with pytest.raises(FormatError, match=r"^line 2: expected '<u> <v> <c>', got '0 1'$"):
+        load_colouring(text)
+
+
+def test_save_colouring_order_never_reaches_the_per_line_parser():
+    chi = gen_locally_k_bounded(400, 7, 3)
+    text = save_colouring(chi)
+    assert text.count("\n") > 5 * colouring._BLOCK_CHARS // 12
+    with patch.object(colouring, "_parse_lines", side_effect=AssertionError):
+        assert load_colouring(text) == chi
+    # one comment sends its block, and only that block, to the per-line parser
+    lines = text.split("\n")
+    lines.insert(len(lines) // 2, "# a comment")
+    calls = []
+    real = colouring._parse_lines
+    with patch.object(colouring, "_parse_lines", lambda *a: calls.append(a) or real(*a)):
+        assert load_colouring("\n".join(lines)) == chi
+    assert len(calls) == 1

@@ -1,9 +1,11 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rainbowcopy import (
+    CapacityError,
     FormatError,
     DomainError,
     Graph,
@@ -14,6 +16,7 @@ from rainbowcopy import (
     load_graph,
     path_graph,
 )
+from rainbowcopy.colouring import MAX_VERTICES
 
 P3_DOC = """n 3
 0 1
@@ -78,6 +81,14 @@ class TestLoadGraph:
     def test_isolated_vertices_allowed(self):
         g = load_graph("n 5\n")
         assert g.n_vertices == 5 and not g.edges
+
+    def test_header_capped_at_the_largest_colouring(self):
+        assert load_graph(f"n {MAX_VERTICES}\n0 1\n").n_vertices == MAX_VERTICES
+        for n in (MAX_VERTICES + 1, 2_000_000, 10**30):
+            start = time.perf_counter()
+            with pytest.raises(CapacityError, match=f"line 2: {n} vertices exceed"):
+                load_graph(f"# forged\nn {n}\n0 1\n")
+            assert time.perf_counter() - start < 0.1
 
 
 class TestCherryStats:
