@@ -42,10 +42,8 @@ from .graph import (
 from .lll import (
     LLLCertificate,
     certificate_inputs,
-    check_asymmetric,
     check_cluster_clique,
     check_cluster_exact,
-    check_symmetric,
     independent_set_polynomial,
     optimize_mu,
     paper_mu_proper,

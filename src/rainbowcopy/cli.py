@@ -179,14 +179,17 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     max_resamples = spec.get("max_resamples")
     if max_resamples is not None and not (type(max_resamples) is int and max_resamples >= 0):
         raise DomainError(f"max_resamples must be null or an integer >= 0, got {max_resamples!r}")
+    if graph_size != "n" and graph_size > min(n_values):
+        raise DomainError(f"graph_size {graph_size} exceeds n = {min(n_values)}")
+    # built before the first trial, so a size the family refuses fails here
+    graphs = {n: _FAMILIES[family](n if graph_size == "n" else graph_size) for n in n_values}
 
     rows = []
     trial_id = 0
     successes = 0
     for n in n_values:
         for k in k_values:
-            size = n if graph_size == "n" else graph_size
-            g = _FAMILIES[family](size)
+            g = graphs[n]
             delta = max(g.degrees, default=0)
             for _ in range(seeds_per_cell):
                 seed = _derive_seed(master_seed, trial_id)

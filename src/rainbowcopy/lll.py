@@ -1,10 +1,8 @@
 """Local-lemma condition variants, thresholds, and certificate search.
 
-Four condition families are checked, always against exact rationals where
-the inputs are rational:
+The two cluster-expansion forms of the local lemma are checked, always
+against exact rationals where the inputs are rational:
 
-  symmetric          P(X) < 1/(e * (max dependency degree + 1))
-  asymmetric         P(X_i) <= x_i * prod over neighbours (1 - x_j)
   cluster (exact)    P(X_i) <= mu_i / Z_i, where Z_i sums prod(mu_j) over
                      the independent subsets of the closed neighbourhood
   cluster (clique)   the product relaxations of the exact form: one weight
@@ -13,8 +11,7 @@ the inputs are rational:
 
 A certificate records the per-class probabilities, the parameters, the
 smallest RHS/LHS ratio over all checked conditions (the margin), and the
-verdict.  Equality counts as holding for the "<=" forms and as failing for
-the strict symmetric form.
+verdict.  Equality counts as holding.
 
 The mu search maximises the clique-form margin over the box [1e-12, 1e3]
 per weight.  In log mu the margin is log-concave, so one golden-section
@@ -49,8 +46,6 @@ from .graph import falling_factorial
 __all__ = [
     "LLLCertificate",
     "ConditionCheck",
-    "check_symmetric",
-    "check_asymmetric",
     "independent_set_polynomial",
     "check_cluster_exact",
     "check_cluster_clique",
@@ -121,56 +116,6 @@ def _min_margin(conditions: Sequence[ConditionCheck]) -> Fraction | float:
     margins = [c.margin() for c in conditions]
     finite = [m for m in margins if m != math.inf]
     return min(finite) if finite else math.inf
-
-
-def check_symmetric(p_max: float, dep_degree: int) -> LLLCertificate:
-    """Symmetric condition: p < 1/(e * (dep_degree + 1)), strict."""
-    if not 0 <= p_max <= 1:
-        raise DomainError(f"p_max must lie in [0, 1], got {p_max}")
-    if dep_degree < 0:
-        raise DomainError(f"dep_degree must be nonnegative, got {dep_degree}")
-    bound = 1.0 / (math.e * (dep_degree + 1))
-    cond = ConditionCheck("symmetric", p_max, bound, p_max < bound)
-    return LLLCertificate(
-        variant="symmetric-9i",
-        parameters={"dep_degree": dep_degree},
-        probabilities={"p_max": p_max},
-        margin=cond.margin(),
-        holds=cond.satisfied,
-        conditions=(cond,),
-    )
-
-
-def _normalise_adjacency(adjacency) -> list[frozenset[int]]:
-    if isinstance(adjacency, DependencyGraph):
-        return list(adjacency.adjacency)
-    return [frozenset(nbrs) for nbrs in adjacency]
-
-
-def check_asymmetric(probabilities, adjacency, x_assignment) -> LLLCertificate:
-    """Asymmetric condition: P(X_i) <= x_i * prod over neighbours (1 - x_j)."""
-    adj = _normalise_adjacency(adjacency)
-    probs = [_as_fraction(p) for p in probabilities]
-    xs = [_as_fraction(x) for x in x_assignment]
-    if len(probs) != len(adj) or len(xs) != len(adj):
-        raise DomainError("probabilities, adjacency and x_assignment lengths differ")
-    for x in xs:
-        if not 0 < x < 1:
-            raise DomainError(f"x values must lie strictly in (0, 1), got {x}")
-    conditions = []
-    for i, p in enumerate(probs):
-        rhs = xs[i]
-        for j in adj[i]:
-            rhs *= 1 - xs[j]
-        conditions.append(ConditionCheck(f"event {i}", p, rhs, p <= rhs))
-    return LLLCertificate(
-        variant="asymmetric-9ii",
-        parameters={f"x_{i}": x for i, x in enumerate(xs)},
-        probabilities={f"event {i}": p for i, p in enumerate(probs)},
-        margin=_min_margin(conditions),
-        holds=all(c.satisfied for c in conditions),
-        conditions=tuple(conditions),
-    )
 
 
 def _mu_of(mu_assignment, index: int):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 
 from .colouring import EdgeColouring, row_offsets
 from .errors import DomainError
@@ -211,12 +210,6 @@ class _ViolationIndex:
     def smallest_pair(self) -> tuple[int, int]:
         return divmod(min(self.front.values()), self.m)
 
-    def all_pairs(self) -> list[tuple[int, int]]:
-        pairs = set()
-        for key in self.front:
-            pairs.update(combinations(sorted(self.classes[key]), 2))
-        return sorted(pairs)
-
     def pair_count(self) -> int:
         return sum(len(self.classes[key]) * (len(self.classes[key]) - 1) // 2 for key in self.front)
 
@@ -228,27 +221,27 @@ def find_copy(
     *,
     seed: int,
     max_resamples: int | None = None,
-    pair_selection: str = "smallest",
 ) -> FindResult:
     """Search for a valid embedding by swap resampling.
 
     Draws the seed's random injection and loops: with no violating pair the
     embedding is re-verified independently and returned; otherwise the
-    selected violating pair's 3-4 graph vertices each have their image
+    smallest violating pair's 3-4 graph vertices each have their image
     swapped with a uniformly random position of the injection padded to a
     full permutation of the K_n vertices.  Each loop iteration counts as
     one resample; the run fails once max_resamples iterations have been
-    spent (default 1000 * |E|^2).  Deterministic given the seed.
+    spent (default 1000 * |E|^2; a negative budget is a DomainError).
+    Deterministic given the seed.
     """
     if mode not in ("proper", "rainbow"):
         raise DomainError(f"unknown mode {mode!r}")
-    if pair_selection not in ("smallest", "random"):
-        raise DomainError(f"unknown pair selection {pair_selection!r}")
     g_size, n = g.n_vertices, colouring.n
     if g_size > n:
         raise DomainError(f"cannot embed {g_size} vertices into K_{n}")
     if max_resamples is None:
         max_resamples = 1000 * len(g.edges) ** 2
+    elif max_resamples < 0:
+        raise DomainError(f"max_resamples must be >= 0, got {max_resamples}")
 
     rng = random.Random(seed)
     prefix = rng.sample(range(n), g_size)
@@ -288,11 +281,7 @@ def find_copy(
             return FindResult(embedding, True, resamples, 0)
         if resamples >= max_resamples:
             return FindResult(None, False, resamples, index.pair_count())
-        if pair_selection == "smallest":
-            first, second = index.smallest_pair()
-        else:
-            pairs = index.all_pairs()
-            first, second = pairs[rng.randrange(len(pairs))]
+        first, second = index.smallest_pair()
         for v in sorted({*edges[first], *edges[second]}):
             resample_vertex(v)
         resamples += 1

@@ -13,6 +13,7 @@ from rainbowcopy import (
     path_graph,
     save_colouring,
 )
+from rainbowcopy import cli
 from rainbowcopy.cli import main
 from rainbowcopy.colouring import MAX_VERTICES
 
@@ -216,6 +217,17 @@ class TestGenFindOracle:
                      "--mode", "proper", "--seed", "3", "--max-resamples", "0"])
         assert code == 1
 
+    def test_find_negative_budget_exit_2(self, tmp_path, capsys):
+        graph_file = tmp_path / "p3.graph"
+        graph_file.write_text("n 3\n0 1\n1 2\n", encoding="utf-8")
+        col = tmp_path / "mono.col"
+        col.write_text(save_colouring(constant_colouring(3)), encoding="utf-8")
+        code = main(["find", "--graph", str(graph_file), "--colouring", str(col),
+                     "--mode", "proper", "--seed", "3", "--max-resamples", "-3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "max_resamples must be >= 0" in captured.err
+
 
 class TestExperiment:
     SPEC = {
@@ -273,13 +285,19 @@ class TestExperiment:
         {"master_seed": 1.5},
         {"max_resamples": "x"},
         {"max_resamples": -1},
+        {"n_values": [50, 5], "graph_size": 20},
+        {"graph_size": 2},
+        {"n_values": [30, 2], "graph_size": "n"},
     ])
-    def test_bad_spec_exit_2(self, change, tmp_path, capsys):
+    def test_bad_spec_exit_2(self, change, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "find_copy", lambda *args, **kwargs: calls.append(args))
         spec_file = tmp_path / "spec.json"
         spec_file.write_text(json.dumps({**self.SPEC, **change}), encoding="utf-8")
         out = tmp_path / "out.csv"
         assert main(["experiment", "--spec", str(spec_file), "-o", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert calls == []  # rejected before the first trial
         assert not out.exists()
 
     def test_spec_not_an_object_exit_2(self, tmp_path, capsys):

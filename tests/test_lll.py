@@ -10,10 +10,8 @@ from rainbowcopy import (
     DomainError,
     DependencyGraph,
     certificate_inputs,
-    check_asymmetric,
     check_cluster_clique,
     check_cluster_exact,
-    check_symmetric,
     cherry_stats,
     clique_cover_proper,
     complete_graph,
@@ -66,52 +64,6 @@ def earlier_mu_grid() -> list[Fraction]:
     if points[-1] < 1000:
         points.append(Fraction(1000))
     return points
-
-
-class TestSymmetric:
-    def test_zero_probability_holds(self):
-        cert = check_symmetric(0.0, 10)
-        assert cert.holds and cert.margin == math.inf
-
-    def test_threshold_is_one_over_e(self):
-        assert check_symmetric(0.36, 0).holds
-        assert not check_symmetric(0.37, 0).holds
-
-    def test_degree_one(self):
-        assert not check_symmetric(0.19, 1).holds
-        assert check_symmetric(0.18, 1).holds
-
-    def test_bad_args(self):
-        with pytest.raises(DomainError):
-            check_symmetric(1.5, 0)
-        with pytest.raises(DomainError):
-            check_symmetric(0.1, -1)
-
-
-class TestAsymmetric:
-    def test_isolated_event_equality(self):
-        cert = check_asymmetric([Fraction(1, 2)], [[]], [Fraction(1, 2)])
-        assert cert.holds and cert.margin == 1
-
-    def test_two_adjacent_fail(self):
-        cert = check_asymmetric(
-            [Fraction(3, 10)] * 2, [[1], [0]], [Fraction(1, 2)] * 2
-        )
-        assert not cert.holds
-        assert cert.margin == Fraction(1, 4) / Fraction(3, 10)
-
-    def test_beats_symmetric_on_regular_graphs(self):
-        # x = 1/(d+1) on a 1-regular graph admits p up to 1/4 > 1/(2e)
-        cert = check_asymmetric(
-            [Fraction(1, 4)] * 2, [[1], [0]], [Fraction(1, 2)] * 2
-        )
-        assert cert.holds
-        assert 0.25 > 1 / (2 * math.e)
-        assert not check_symmetric(0.25, 1).holds
-
-    def test_x_outside_unit_interval(self):
-        with pytest.raises(DomainError):
-            check_asymmetric([Fraction(1, 2)], [[]], [Fraction(1)])
 
 
 class TestIndependentSetPolynomial:
