@@ -2,7 +2,7 @@
 
 Subcommands: stats, threshold, certify, gen, find, oracle, experiment.
 Exit codes: 0 success / certificate holds, 1 certificate fails, copy not
-found, or budget spent, 2 usage or input format errors.
+found, or budget spent, 2 usage, input, domain or capacity errors.
 """
 
 from __future__ import annotations
@@ -50,7 +50,10 @@ def _fraction(text: str) -> Fraction:
 
 def _print_json(document: dict) -> None:
     # exact rationals (Fractions) print as strings such as "7/2"
-    print(json.dumps(document, indent=2, sort_keys=True, default=str))
+    try:
+        print(json.dumps(document, indent=2, sort_keys=True, default=str))
+    except ValueError:  # a number beyond the int-to-str digit limit
+        raise CapacityError("output has a number too long to print exactly") from None
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:

@@ -247,14 +247,28 @@ class NeighbourhoodProfile:
 
     Tags follow the pattern "<side>-<type>": the side says whether the
     clique collects events sharing a graph vertex or an image vertex, the
-    type says which event type its bound counts.  Entries with equal count
-    and side describe one mixed clique per event vertex, split by type.
+    type says which event type its bound counts.  cliques() groups the
+    entries of one side into one mixed clique per event vertex.
     """
 
     entries: tuple[CliqueClass, ...]
 
     def bounds_by_tag(self) -> dict[str, Fraction]:
         return {e.class_tag: e.size_bound for e in self.entries}
+
+    def cliques(self) -> list[tuple[int, dict[str, Fraction]]]:
+        """One (count, {event type: size bound}) per side.  A malformed tag
+        or a side whose entries differ in count is a DomainError."""
+        sides: dict[str, tuple[int, dict[str, Fraction]]] = {}
+        for entry in self.entries:
+            side, _, event_type = entry.class_tag.rpartition("-")
+            if event_type not in (INTERSECTING, DISJOINT) or not side:
+                raise DomainError(f"tag {entry.class_tag!r} is not '<side>-intersecting/disjoint'")
+            count, bounds = sides.setdefault(side, (entry.count, {}))
+            if count != entry.count:
+                raise DomainError(f"entries of side {side!r} disagree on clique count")
+            bounds[event_type] = entry.size_bound
+        return list(sides.values())
 
 
 def _as_fraction(x) -> Fraction:

@@ -5,17 +5,17 @@ against exact rationals where the inputs are rational:
 
   cluster (exact)    P(X_i) <= mu_i / Z_i, where Z_i sums prod(mu_j) over
                      the independent subsets of the closed neighbourhood
-  cluster (clique)   the product relaxations of the exact form: one weight
-                     per clique of a cover of the closed neighbourhood,
-                     either with a single mu or with one mu per event type
+  cluster (clique)   the product relaxation of the exact form over a cover
+                     of the closed neighbourhood by mixed cliques, with one
+                     weight per event type (one type proper, two rainbow)
 
 A certificate records the per-class probabilities, the parameters, the
 smallest RHS/LHS ratio over all checked conditions (the margin), and the
 verdict.  Equality counts as holding.
 
 The mu search maximises the clique-form margin over the box [1e-12, 1e3]
-per weight.  In log mu the margin is log-concave, so one golden-section
-search (nested for two weights) finds the optimum in the box; it runs in
+per weight.  In log mu the margin is log-concave, so a golden-section
+search per weight coordinate finds the optimum in the box; it runs in
 floats, and the returned certificate is always re-evaluated in exact
 rational arithmetic at the chosen parameters.
 
@@ -101,15 +101,18 @@ class LLLCertificate:
         return "holds" if self.holds else "fails"
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "parameters": {k: str(v) for k, v in self.parameters.items()},
-            "probabilities": {k: str(v) for k, v in self.probabilities.items()},
-            "margin": float(self.margin),
-            "margin_exact": str(self.margin) if isinstance(self.margin, Fraction) else None,
-            "verdict": self.verdict,
-            "conditions": [c.to_json() for c in self.conditions],
-        }
+        try:
+            return {
+                "variant": self.variant,
+                "parameters": {k: str(v) for k, v in self.parameters.items()},
+                "probabilities": {k: str(v) for k, v in self.probabilities.items()},
+                "margin": float(self.margin),
+                "margin_exact": str(self.margin) if isinstance(self.margin, Fraction) else None,
+                "verdict": self.verdict,
+                "conditions": [c.to_json() for c in self.conditions],
+            }
+        except ValueError:  # an exact rational beyond the int-to-str digit limit
+            raise CapacityError("certificate has a number too long to print exactly") from None
 
 
 def _min_margin(conditions: Sequence[ConditionCheck]) -> Fraction | float:
@@ -119,9 +122,7 @@ def _min_margin(conditions: Sequence[ConditionCheck]) -> Fraction | float:
 
 
 def _mu_of(mu_assignment, index: int):
-    if isinstance(mu_assignment, Mapping):
-        return mu_assignment[index]
-    if isinstance(mu_assignment, (list, tuple)):
+    if isinstance(mu_assignment, (Mapping, list, tuple)):
         return mu_assignment[index]
     return mu_assignment
 
@@ -190,56 +191,31 @@ def check_cluster_exact(probabilities, dep: DependencyGraph, mu_assignment) -> L
     )
 
 
-def _single_probability(p_by_class) -> tuple[str, Fraction]:
-    if isinstance(p_by_class, Mapping):
-        if len(p_by_class) != 1:
-            raise DomainError("single-mu form needs exactly one probability class")
-        ((label, p),) = p_by_class.items()
-        return label, _as_fraction(p)
-    return "event", _as_fraction(p_by_class)
-
-
-def _mixed_denominator_terms(profile: NeighbourhoodProfile) -> list[tuple[int, dict[str, Fraction]]]:
-    """Group profile entries into mixed cliques: per side, one (count,
-    {type: bound}) term.  Counts within a side must agree."""
-    sides: dict[str, tuple[int, dict[str, Fraction]]] = {}
-    for entry in profile.entries:
-        side, _, type_part = entry.class_tag.rpartition("-")
-        if type_part not in (INTERSECTING, DISJOINT) or not side:
-            raise DomainError(
-                f"two-type form needs '<side>-intersecting/disjoint' tags, got {entry.class_tag!r}"
-            )
-        count, bounds = sides.setdefault(side, (entry.count, {}))
-        if count != entry.count:
-            raise DomainError(f"entries of side {side!r} disagree on clique count")
-        bounds[type_part] = entry.size_bound
-    return list(sides.values())
-
-
 def _clique_terms(p_by_class, clique_profile) -> dict[str, tuple[Fraction, list]]:
-    """Normalise either clique form to {type s: (p_s, [(count, {type t: bound_t})])},
-    so that the condition for s reads
+    """Normalise the clique form to {type s: (p_s, [(count, {type t: bound_t})])},
+    types in the order intersecting, disjoint, so that the condition for s reads
 
         p_s <= mu_s / prod over cliques (1 + sum_t mu_t * bound_t) ** count.
 
-    A single profile is one type, named by its probability label, in which
-    every entry is its own clique."""
+    A bare probability and profile are the one intersecting type."""
     if isinstance(clique_profile, NeighbourhoodProfile):
-        label, p = _single_probability(p_by_class)
-        return {label: (p, [(e.count, {label: e.size_bound}) for e in clique_profile.entries])}
-    if not isinstance(clique_profile, Mapping):
-        raise DomainError("clique_profile must be a profile or a mapping of profiles")
-    if not isinstance(p_by_class, Mapping):
-        raise DomainError("two-type form needs a mapping of probabilities")
-    return {
-        t: (_as_fraction(p_by_class[t]), _mixed_denominator_terms(profile))
-        for t, profile in clique_profile.items()
+        p_by_class, clique_profile = {INTERSECTING: p_by_class}, {INTERSECTING: clique_profile}
+    if not (isinstance(clique_profile, Mapping) and isinstance(p_by_class, Mapping)):
+        raise DomainError("need a bare probability and profile, or mappings of both by event type")
+    terms = {
+        t: (_as_fraction(p_by_class[t]), clique_profile[t].cliques())
+        for t in (INTERSECTING, DISJOINT)
+        if t in clique_profile
     }
+    counted = {t for _, cliques in terms.values() for _, bounds in cliques for t in bounds}
+    if not terms or len(terms) != len(clique_profile) or not counted <= terms.keys():
+        raise DomainError(f"need one profile per counted event type, got {list(clique_profile)}")
+    return terms
 
 
 def _clique_factor(cliques, mu_by_type) -> Fraction:
-    """prod over cliques (1 + sum_t mu_t * bound_t) ** count, for the cliques
-    of one type in _clique_terms."""
+    """prod over cliques (1 + sum_t mu_t * bound_t) ** count, for cliques as
+    NeighbourhoodProfile.cliques() lists them."""
     factor = Fraction(1)
     for count, bounds in cliques:
         factor *= sum((mu_by_type[t] * b for t, b in bounds.items()), Fraction(1)) ** count
@@ -247,40 +223,33 @@ def _clique_factor(cliques, mu_by_type) -> Fraction:
 
 
 def check_cluster_clique(p_by_class, clique_profile, mu) -> LLLCertificate:
-    """Clique-cover relaxation of the exact cluster condition.
+    """Clique-cover relaxation of the exact cluster condition: for each event
+    type s, p_s <= mu_s / prod over mixed cliques (1 + sum_t mu_t * bound_t) ** count.
 
-    Single-profile form (one mu):
-        p <= mu / prod over cliques (1 + mu * size_bound)
-
-    Two-type form (clique_profile is a mapping event-type -> profile and mu
-    is a pair or mapping with mu per type): for each event type s,
-        p_s <= mu_s / prod over mixed cliques (1 + sum_t mu_t * bound_t)
+    Inputs are mappings by event type, or a bare probability and profile for
+    the one intersecting type; mu is a mapping by type, a pair (mu_int,
+    mu_dis) or a bare weight.  The parameters are named mu, or mu_int and mu_dis.
     """
     terms = _clique_terms(p_by_class, clique_profile)
-    single = isinstance(clique_profile, NeighbourhoodProfile)
-    if single:
-        (label,) = terms
-        mu_by_type = {label: _as_fraction(mu)}
-    elif isinstance(mu, Mapping):
-        mu_by_type = {t: _as_fraction(v) for t, v in mu.items()}
-    else:
-        mu_int, mu_dis = mu
-        mu_by_type = {INTERSECTING: _as_fraction(mu_int), DISJOINT: _as_fraction(mu_dis)}
-    for v in mu_by_type.values():
-        if v <= 0:
-            raise DomainError(f"mu must be positive, got {v}")
+    weights = mu
+    if not isinstance(mu, Mapping):
+        values = tuple(mu) if isinstance(mu, (tuple, list)) else (mu,)
+        weights = dict(zip(terms, values)) if len(values) == len(terms) else {}
+    if weights.keys() != terms.keys():
+        raise DomainError(f"need one weight per event type {list(terms)}, got {mu!r}")
+    mu_by_type = {t: _as_fraction(weights[t]) for t in terms}
+    if min(mu_by_type.values()) <= 0:
+        raise DomainError(f"mu must be positive, got {min(mu_by_type.values())}")
 
     conditions = []
     for event_type, (p, cliques) in terms.items():
         rhs = mu_by_type[event_type] / _clique_factor(cliques, mu_by_type)
         conditions.append(ConditionCheck(event_type, p, rhs, p <= rhs))
-    if single:
-        variant, parameters = "cluster-clique-3prime", {"mu": mu_by_type[label]}
-    else:
-        variant, parameters = "cluster-two-type-4prime", {f"mu_{t}": v for t, v in mu_by_type.items()}
+    one = len(terms) == 1
+    names = dict.fromkeys(terms, "mu") if one else {INTERSECTING: "mu_int", DISJOINT: "mu_dis"}
     return LLLCertificate(
-        variant=variant,
-        parameters=parameters,
+        variant="cluster-clique-3prime" if one else "cluster-two-type-4prime",
+        parameters={names[t]: v for t, v in mu_by_type.items()},
         probabilities={t: p for t, (p, _) in terms.items()},
         margin=_min_margin(conditions),
         holds=all(c.satisfied for c in conditions),
@@ -338,22 +307,21 @@ def optimize_mu(p_by_class, clique_profile):
     With t = log mu, the log margin of type s,
         t_s - sum over cliques count * log(1 + sum_u exp(t_u) * bound_u) - log p_s,
     is concave (a log-sum-exp of affine functions is convex), so their
-    minimum over the types is concave, and so is the maximum over one
-    coordinate of it.  A golden-section search over [log MU_LO, log MU_HI]
-    therefore finds the optimum: directly for one weight, nested (inner
-    search over mu_dis for each probe of mu_int) for two.  The search
-    evaluates float logs of the terms of check_cluster_clique; the
-    returned certificate is that exact check at the point found.  An
-    optimum on the edge of the box is returned as the exact bound.  When
-    the optimum lies below MU_LO, as for the rainbow form at large n, the
-    certificate fails although the reference weights may hold.
+    minimum over the types is concave, and so is its maximum over some
+    coordinates.  So one golden-section search over [log MU_LO, log MU_HI]
+    per weight finds the optimum, each probe scored by the best margin over
+    the later weights (mu_dis inside mu_int).  The search evaluates float
+    logs of the terms of check_cluster_clique; the returned certificate is
+    that exact check at the point found.  An optimum on the edge of the box
+    is returned as the exact bound.  When the optimum lies below MU_LO, as
+    for the rainbow form at large n, the certificate fails although the
+    reference weights may hold.
 
-    Returns (parameters, certificate); the certificate fails (margin < 1)
+    Returns (cert.parameters, cert); the certificate fails (margin < 1)
     when no feasible point exists.
     """
     terms = _clique_terms(p_by_class, clique_profile)
-    single = isinstance(clique_profile, NeighbourhoodProfile)
-    axis = {t: i for i, t in enumerate(terms if single else (INTERSECTING, DISJOINT))}
+    axis = {t: i for i, t in enumerate(terms)}
     log_terms = [
         (axis[s], _log(p), [(count, [(axis[t], _log(b)) for t, b in bounds.items() if b])
                             for count, bounds in cliques])
@@ -371,34 +339,35 @@ def optimize_mu(p_by_class, clique_profile):
         return worst
 
     lo, hi = _log(MU_LO), _log(MU_HI)
-    if single:
-        _, x = _golden_max(lambda t: log_margin([t]), lo, hi)
-        point = [x]
-    else:
-        def inner(t_int: float) -> tuple[float, float]:
-            return _golden_max(lambda t_dis: log_margin([t_int, t_dis]), lo, hi)
 
-        _, x_int = _golden_max(lambda t_int: inner(t_int)[0], lo, hi)
-        point = [x_int, inner(x_int)[1]]
+    def search(fixed: list[float]) -> tuple[float, list[float]]:
+        """The best log margin over the coordinates after fixed, and its point."""
+        if len(fixed) == len(axis):
+            return log_margin(fixed), fixed
+        _, x = _golden_max(lambda t: search([*fixed, t])[0], lo, hi)
+        return search([*fixed, x])
+
     # interior probes lie more than _LOG_TOL / 5 inside the box, far beyond
     # the rounding of exp, so their weights never leave it
-    mus = [MU_LO if x == lo else MU_HI if x == hi else Fraction(math.exp(x)) for x in point]
-    if single:
-        return {"mu": mus[0]}, check_cluster_clique(p_by_class, clique_profile, mus[0])
-    return ({"mu_int": mus[0], "mu_dis": mus[1]},
-            check_cluster_clique(p_by_class, clique_profile, tuple(mus)))
+    mus = [MU_LO if x == lo else MU_HI if x == hi else Fraction(math.exp(x))
+           for x in search([])[1]]
+    cert = check_cluster_clique(p_by_class, clique_profile, dict(zip(terms, mus)))
+    return cert.parameters, cert
 
 
 def _resolve_qp(n: int, *, delta=None, stats=None, q=None, p=None) -> tuple[Fraction, Fraction]:
-    """Cherry rates (q, p) of the thm3 setting, resolved as certificate_inputs says."""
+    """Cherry rates (q, p) of the thm3 setting, resolved as certificate_inputs
+    says; a negative delta, q or p is a DomainError."""
     if stats is not None:
-        return Fraction(stats.max_cherries_per_vertex), Fraction(stats.total_cherries, n)
-    if q is not None and p is not None:
-        return _as_fraction(q), _as_fraction(p)
-    if delta is not None:
-        d2 = Fraction(delta * delta)
-        return Fraction(3, 2) * d2, d2 / 2
-    raise DomainError("thm3 needs cherry statistics, q and p, or a maximum degree")
+        q, p = stats.max_cherries_per_vertex, Fraction(stats.total_cherries, n)
+    elif q is None or p is None:
+        if delta is None:
+            raise DomainError("thm3 needs cherry statistics, q and p, or a maximum degree")
+        q, p = Fraction(3, 2) * delta * delta, Fraction(delta * delta, 2)
+    q, p = _as_fraction(q), _as_fraction(p)
+    if min(q, p, delta or 0) < 0:
+        raise DomainError(f"thm3 needs delta, q, p >= 0, got delta={delta}, q={q}, p={p}")
+    return q, p
 
 
 def _thm3_bound(n: int, q: Fraction, p: Fraction) -> Fraction:
@@ -537,8 +506,7 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
         if k > bound:
             raise DomainError(f"k={k} exceeds the thm3 bound {bound}")
         mu = paper_mu_proper(n)
-        ((label, (_, cliques)),) = _clique_terms(probability, profile).items()
-        product = _clique_factor(cliques, {label: mu})
+        product = _clique_factor(profile.cliques(), {INTERSECTING: mu})
         direct = check_cluster_clique(probability, profile, mu)
         k_mu_cap = Fraction(2, 5) / (falling_factorial(n, 2) * (q + 3 * p))
         steps = [
@@ -556,10 +524,9 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
         bound = Fraction(n, 51 * delta * delta)
         if k > bound:
             raise DomainError(f"k={k} exceeds the thm7 bound {bound}")
-        mu_int, mu_dis = paper_mu_rainbow(n)
-        mu = {INTERSECTING: mu_int, DISJOINT: mu_dis}
+        mu = dict(zip((INTERSECTING, DISJOINT), paper_mu_rainbow(n)))
         # an event vertex has one graph-side and one image-side mixed clique
-        cliques = _clique_terms(probabilities, profiles)[INTERSECTING][1]
+        cliques = profiles[INTERSECTING].cliques()
         product = _clique_factor([(1, bounds) for _, bounds in cliques], mu)
         cap = Fraction(50, 51) * Fraction(14, 10)
         p_int, p_dis = probabilities[INTERSECTING], probabilities[DISJOINT]
@@ -571,7 +538,7 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
             ConditionCheck("p_int boundary", p_int, int_lower, int_lower >= p_int),
         ]
         direct = check_cluster_clique(probabilities, profiles, mu)
-        report.update({"mu_int": mu_int, "mu_dis": mu_dis})
+        report.update(direct.parameters)
 
     else:
         raise DomainError(f"unknown setting {setting!r}; expected 'thm3' or 'thm7'")

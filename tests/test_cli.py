@@ -91,6 +91,10 @@ class TestThreshold:
     def test_delta_zero_exit_2(self, capsys):
         assert main(["threshold", "--theorem", "thm7", "--n", "100", "--delta", "0"]) == 2
 
+    def test_thm3_negative_delta_exit_2(self, capsys):
+        assert main(["threshold", "--theorem", "thm3", "--n", "1000", "--delta", "-2"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_unknown_theorem_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["threshold", "--theorem", "thm9", "--n", "100"])
@@ -159,6 +163,23 @@ class TestCertify:
         assert doc == {"parameters": {key: str(v) for key, v in params.items()},
                        "certificate": json.loads(json.dumps(cert.to_json()))}
         assert code == (0 if cert.holds else 1)
+
+    def test_proper_negative_delta_exit_2(self, capsys):
+        code = main(["certify", "--mode", "proper", "--n", "1000", "--delta", "-2", "--k", "11",
+                     "--search-mu"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "rainbow", "--n", str(10**200), "--delta", "2", "--k", "1", "--search-mu"],
+        ["--mode", "proper", "--n", str(10**2000), "--delta", "1", "--k", "1"],
+        ["--mode", "rainbow", "--n", "1000", "--delta", "1", "--k", str(10**1500), "--search-mu"],
+    ])
+    def test_output_beyond_the_digit_limit_exit_2(self, argv, capsys):
+        assert main(["certify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
     @pytest.mark.parametrize("mode", ["rainbow", "proper"])
     def test_search_mu_huge_n_fails_with_json(self, mode, capsys):

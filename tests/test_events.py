@@ -26,7 +26,15 @@ from rainbowcopy import (
     path_graph,
     verify_clique_bounds,
 )
-from rainbowcopy.events import DISJOINT, G_SIDE_INT, INTERSECTING, KN_SIDE_INT
+from rainbowcopy.events import (
+    DISJOINT,
+    G_SIDE_DIS,
+    G_SIDE_INT,
+    INTERSECTING,
+    KN_SIDE_INT,
+    CliqueClass,
+    NeighbourhoodProfile,
+)
 from rainbowcopy.oracle import count_injections_in_event
 
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -248,6 +256,25 @@ class TestCliqueCovers:
     def test_rainbow_degenerate_k0(self):
         profile = clique_cover_rainbow(2, 77, 0, INTERSECTING)
         assert all(entry.size_bound == 0 for entry in profile.entries)
+
+    def test_cliques_group_each_side_by_type(self):
+        rainbow = clique_cover_rainbow(1, 10, 1, DISJOINT)
+        assert rainbow.cliques() == [
+            (4, {INTERSECTING: 150, DISJOINT: 1000}),
+            (4, {INTERSECTING: 100, DISJOINT: 1000}),
+        ]
+        proper = clique_cover_proper(cherry_stats(cycle_graph(5)), 5, 1)
+        assert proper.cliques() == [(3, {INTERSECTING: 60}), (3, {INTERSECTING: 60})]
+
+    @pytest.mark.parametrize("entries", [
+        (CliqueClass(1, Fraction(2), "generic"),),
+        (CliqueClass(1, Fraction(2), "-intersecting"),),
+        (CliqueClass(1, Fraction(2), "G-side-neither"),),
+        (CliqueClass(3, Fraction(2), G_SIDE_INT), CliqueClass(4, Fraction(2), G_SIDE_DIS)),
+    ])
+    def test_cliques_reject_bad_tags_and_count_mismatch(self, entries):
+        with pytest.raises(DomainError):
+            NeighbourhoodProfile(entries).cliques()
 
     def test_bad_args(self):
         with pytest.raises(DomainError):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import time
@@ -36,7 +37,7 @@ from rainbowcopy.lll import MU_HI, MU_LO
 
 
 def single_clique_profile(size) -> NeighbourhoodProfile:
-    return NeighbourhoodProfile((CliqueClass(1, Fraction(size), "generic"),))
+    return NeighbourhoodProfile((CliqueClass(1, Fraction(size), "G-side-intersecting"),))
 
 
 def rainbow_cell(n, delta, k):
@@ -278,6 +279,65 @@ class TestOptimizeMu:
         both = optimize_mu(probs, profiles)[1]
         assert cert.holds and math.inf > cert.margin >= both.margin
 
+    @pytest.mark.parametrize("cell", [
+        (Fraction(1, 20), single_clique_profile(10)),
+        (Fraction(11, 100), single_clique_profile(10)),
+        proper_cell(1000, 2, 11),
+        proper_cell(10**4, 1, 500),
+    ])
+    def test_bare_form_is_the_one_type_mapping(self, cell):
+        p, profile = cell
+        mapped = ({INTERSECTING: p}, {INTERSECTING: profile})
+        mu = Fraction(1, 10**7)
+        cert = check_cluster_clique(p, profile, mu)
+        assert cert == check_cluster_clique(*mapped, mu)
+        assert cert == check_cluster_clique(*mapped, {INTERSECTING: mu})
+        assert cert.variant == "cluster-clique-3prime"
+        assert cert.parameters == {"mu": mu} and cert.probabilities == {INTERSECTING: p}
+        assert [c.label for c in cert.conditions] == [INTERSECTING]
+        assert optimize_mu(p, profile) == optimize_mu(*mapped)
+
+    def test_two_type_weights_are_mu_int_and_mu_dis(self):
+        probs, profiles = rainbow_cell(1000, 2, 4)
+        params, cert = optimize_mu(probs, profiles)
+        assert params == cert.parameters and list(params) == ["mu_int", "mu_dis"]
+        by_type = {INTERSECTING: params["mu_int"], DISJOINT: params["mu_dis"]}
+        assert check_cluster_clique(probs, profiles, by_type) == cert
+        assert check_cluster_clique(probs, profiles, (params["mu_int"], params["mu_dis"])) == cert
+
+    @pytest.mark.parametrize("mu", [
+        (Fraction(1, 10), Fraction(1, 10)),
+        [],
+        {DISJOINT: Fraction(1, 10)},
+        {INTERSECTING: Fraction(1, 10), DISJOINT: Fraction(1, 10)},
+    ])
+    def test_one_type_weight_count_mismatch(self, mu):
+        with pytest.raises(DomainError):
+            check_cluster_clique(Fraction(1, 20), single_clique_profile(10), mu)
+
+    @pytest.mark.parametrize("mu", [
+        Fraction(1, 10),
+        (Fraction(1, 10),),
+        (Fraction(1, 10),) * 3,
+        {INTERSECTING: Fraction(1, 10)},
+    ])
+    def test_two_type_weight_count_mismatch(self, mu):
+        with pytest.raises(DomainError):
+            check_cluster_clique(*rainbow_cell(100, 1, 2), mu)
+
+    def test_types_without_a_weight_rejected(self):
+        probs, profiles = rainbow_cell(100, 1, 2)
+        for bad in (
+            (probs[INTERSECTING], profiles[INTERSECTING]),  # bare, but counts disjoint events
+            ({**probs, "other": Fraction(1)}, {**profiles, "other": profiles[DISJOINT]}),
+            ({INTERSECTING: probs[INTERSECTING]}, {INTERSECTING: profiles[INTERSECTING]}),
+            ({}, {}),
+        ):
+            with pytest.raises(DomainError):
+                check_cluster_clique(*bad, Fraction(1, 10))
+            with pytest.raises(DomainError):
+                optimize_mu(*bad)
+
     @pytest.mark.parametrize("mode", ["rainbow", "proper"])
     def test_huge_n_does_not_overflow(self, mode):
         n = 10**40
@@ -318,6 +378,35 @@ EARLIER_SEARCH = [
     ("cor4", 2, 10**4, True, 1.0054984897430914),
     ("cor4", 2, 10**5, False, 1.0150616598619316e-08),
 ]
+
+
+# Weights and sha256 of margin_exact that the search gave while it still had
+# separate one-weight and two-weight paths, at delta = 2 on threshold cells.
+PINNED_SEARCH = [
+    ("thm7", 1000, True,
+     {"mu_int": "2395434866285313/604462909807314587353088",
+      "mu_dis": "6684659058681503/1237940039285380274899124224"},
+     "6083666b3ef7e2e00d0f27b3c3daec4657b537bc7b416a477950c131812b7383"),
+    ("thm7", 10**4, False,
+     {"mu_int": "1/1000000000000", "mu_dis": "1/1000000000000"},
+     "ac52d6239b67f4c307db54425002f90c77eb75ae5ed440a6c8a59238d8dab2ef"),
+    ("cor4", 1000, True,
+     {"mu": "7334157405452243/2417851639229258349412352"},
+     "b0d6655f48fad09ed9690bad6c49fc7e769e9abd30ee53beef37612fd4737a87"),
+    ("cor4", 10**4, True,
+     {"mu": "7435819058099203/2475880078570760549798248448"},
+     "a219d459ea90959556a0f90520e28feda4e4e5e8ff41148bb3538236321772a4"),
+]
+
+
+@pytest.mark.parametrize("theorem, n, holds, weights, margin_sha256", PINNED_SEARCH)
+def test_search_is_pinned(theorem, n, holds, weights, margin_sha256):
+    cell = rainbow_cell if theorem == "thm7" else proper_cell
+    params, cert = optimize_mu(*cell(n, 2, threshold(theorem, n, delta=2)))
+    assert cert.holds == holds
+    assert params == {name: Fraction(w) for name, w in weights.items()}
+    margin_exact = cert.to_json()["margin_exact"]
+    assert hashlib.sha256(margin_exact.encode()).hexdigest() == margin_sha256
 
 
 @pytest.mark.parametrize("theorem, delta, n, holds, margin", EARLIER_SEARCH)
@@ -388,6 +477,15 @@ class TestThreshold:
     def test_no_cherries_rejected(self):
         with pytest.raises(DomainError):
             threshold("thm3", 100, q=0, p=0)
+
+    @pytest.mark.parametrize("rates", [{"delta": -2}, {"q": -1, "p": 1}, {"q": 3, "p": -1}])
+    def test_thm3_negative_degree_or_rates_rejected(self, rates):
+        with pytest.raises(DomainError):
+            threshold("thm3", 1000, **rates)
+        with pytest.raises(DomainError):
+            certificate_inputs("thm3", 1000, 11, **rates)
+        with pytest.raises(DomainError):
+            verify_paper_inequalities("thm3", n=1000, k=11, **rates)
 
     def test_cor4_vs_thm3_rounding(self):
         # the analytic constant is ~22.39488 against the rounded 22.4, so
