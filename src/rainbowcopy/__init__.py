@@ -17,7 +17,6 @@ from .events import (
     DISJOINT,
     INTERSECTING,
     CanonicalEvent,
-    CliqueClass,
     DependencyGraph,
     NeighbourhoodProfile,
     clique_cover_proper,

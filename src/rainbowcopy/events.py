@@ -9,9 +9,12 @@ a colour.
 
 Certificates never materialise the full dependency graph at scale.  Instead
 the closed neighbourhood of every event in the intersection graph is covered
-by a fixed number of cliques with analytic size bounds; the clique-cover
-constructors below record those bounds, and verify_clique_bounds checks them
-against exhaustive enumeration on small instances.
+by mixed cliques with analytic size bounds: one clique per event vertex on
+the graph side (the events sharing that graph vertex) and one on the K_n side
+(the events sharing its image).  A NeighbourhoodProfile holds the number of
+event vertices and, per side, a size bound for each event type; the
+clique-cover constructors below build it, and verify_clique_bounds checks the
+bounds against exhaustive enumeration on small instances.
 """
 
 from __future__ import annotations
@@ -30,12 +33,7 @@ __all__ = [
     "DISJOINT",
     "CanonicalEvent",
     "DependencyGraph",
-    "CliqueClass",
     "NeighbourhoodProfile",
-    "G_SIDE_INT",
-    "G_SIDE_DIS",
-    "KN_SIDE_INT",
-    "KN_SIDE_DIS",
     "enumerate_bad_events",
     "event_probability",
     "conflict",
@@ -48,11 +46,6 @@ __all__ = [
 
 INTERSECTING = "intersecting"
 DISJOINT = "disjoint"
-
-G_SIDE_INT = "G-side-intersecting"
-G_SIDE_DIS = "G-side-disjoint"
-KN_SIDE_INT = "Kn-side-intersecting"
-KN_SIDE_DIS = "Kn-side-disjoint"
 
 
 @dataclass(frozen=True)
@@ -233,42 +226,23 @@ def intersection_graph(events: Sequence[CanonicalEvent]) -> DependencyGraph:
 
 
 @dataclass(frozen=True)
-class CliqueClass:
-    """count cliques, each of size at most size_bound, with a class tag."""
-
-    count: int
-    size_bound: Fraction
-    class_tag: str
-
-
-@dataclass(frozen=True)
 class NeighbourhoodProfile:
     """Clique cover of an event's closed neighbourhood, by size bounds only.
 
-    Tags follow the pattern "<side>-<type>": the side says whether the
-    clique collects events sharing a graph vertex or an image vertex, the
-    type says which event type its bound counts.  cliques() groups the
-    entries of one side into one mixed clique per event vertex.
+    Each of the count event vertices (3 for an intersecting event, 4 for a
+    disjoint one) carries one mixed clique on the graph side, the events
+    sharing that graph vertex, and one on the image side, the events sharing
+    its image.  graph and image map an event type to the size bound of the
+    clique's members of that type; nothing changes them after construction.
     """
 
-    entries: tuple[CliqueClass, ...]
-
-    def bounds_by_tag(self) -> dict[str, Fraction]:
-        return {e.class_tag: e.size_bound for e in self.entries}
+    count: int
+    graph: dict[str, Fraction]
+    image: dict[str, Fraction]
 
     def cliques(self) -> list[tuple[int, dict[str, Fraction]]]:
-        """One (count, {event type: size bound}) per side.  A malformed tag
-        or a side whose entries differ in count is a DomainError."""
-        sides: dict[str, tuple[int, dict[str, Fraction]]] = {}
-        for entry in self.entries:
-            side, _, event_type = entry.class_tag.rpartition("-")
-            if event_type not in (INTERSECTING, DISJOINT) or not side:
-                raise DomainError(f"tag {entry.class_tag!r} is not '<side>-intersecting/disjoint'")
-            count, bounds = sides.setdefault(side, (entry.count, {}))
-            if count != entry.count:
-                raise DomainError(f"entries of side {side!r} disagree on clique count")
-            bounds[event_type] = entry.size_bound
-        return list(sides.values())
+        """One (count, {event type: size bound}) per side, graph side first."""
+        return [(self.count, self.graph), (self.count, self.image)]
 
 
 def _as_fraction(x) -> Fraction:
@@ -297,12 +271,7 @@ def proper_profile_from_rates(q, p, n: int, k) -> NeighbourhoodProfile:
     if q < 0 or p < 0 or k < 0 or n < 2:
         raise DomainError(f"need q, p, k >= 0 and n >= 2, got q={q}, p={p}, n={n}, k={k}")
     n2 = Fraction(falling_factorial(n, 2))
-    return NeighbourhoodProfile(
-        entries=(
-            CliqueClass(3, q * n2 * k, G_SIDE_INT),
-            CliqueClass(3, 3 * p * n2 * k, KN_SIDE_INT),
-        )
-    )
+    return NeighbourhoodProfile(3, {INTERSECTING: q * n2 * k}, {INTERSECTING: 3 * p * n2 * k})
 
 
 def clique_cover_proper(stats, n: int, k) -> NeighbourhoodProfile:
@@ -332,19 +301,12 @@ def clique_cover_rainbow(delta: int, n: int, k, type_tag: str) -> NeighbourhoodP
     k = _as_fraction(k)
     if k < 0:
         raise DomainError(f"need k >= 0, got {k}")
-    vertices = 3 if type_tag == INTERSECTING else 4
     d2 = Fraction(delta * delta)
-    g_int = Fraction(3, 2) * d2 * n * n * k
-    g_dis = d2 * n * n * n * k
-    kn_int = d2 * n * n * k
-    kn_dis = d2 * n * n * n * k
+    dis = d2 * n * n * n * k
     return NeighbourhoodProfile(
-        entries=(
-            CliqueClass(vertices, g_int, G_SIDE_INT),
-            CliqueClass(vertices, g_dis, G_SIDE_DIS),
-            CliqueClass(vertices, kn_int, KN_SIDE_INT),
-            CliqueClass(vertices, kn_dis, KN_SIDE_DIS),
-        )
+        3 if type_tag == INTERSECTING else 4,
+        {INTERSECTING: Fraction(3, 2) * d2 * n * n * k, DISJOINT: dis},
+        {INTERSECTING: d2 * n * n * k, DISJOINT: dis},
     )
 
 
@@ -362,29 +324,28 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
     bounds_meta = boundedness(colouring)
     if mode == "proper":
         k = bounds_meta.local_bound
-        bounds = clique_cover_proper(cherry_stats(g), n, k).bounds_by_tag()
+        profile = clique_cover_proper(cherry_stats(g), n, k)
     else:
         k = bounds_meta.global_bound
         delta = max(cherry_stats(g).max_degree, 1)
-        bounds = clique_cover_rainbow(delta, n, k, INTERSECTING).bounds_by_tag()
+        profile = clique_cover_rainbow(delta, n, k, INTERSECTING)
 
+    # one class per side and event type, named "<side>-<type>"
+    classes = {
+        f"{side}-{t}": {"bound": str(bound), "max_size": 0, "slack": None}
+        for side, bounds in (("G-side", profile.graph), ("Kn-side", profile.image))
+        for t, bound in bounds.items()
+    }
     report: dict = {
         "mode": mode,
         "n": n,
         "k": k,
         "n_events": len(events),
-        "classes": {},
+        "classes": classes,
         "violations": [],
         "cliques_are_cliques": True,
         "ok": True,
     }
-    if not events:
-        report["classes"] = {
-            tag: {"bound": str(bound), "max_size": 0, "slack": str(bound)}
-            for tag, bound in bounds.items()
-        }
-        return report
-
     dep = intersection_graph(events)
 
     # Index events by the graph vertices and image vertices they touch,
@@ -398,28 +359,24 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
         for u in ev.image_support:
             by_img_vertex.setdefault((u, ev.type_tag), set()).add(idx)
 
-    def check_class(tag: str, size: int, where: str) -> None:
-        entry = report["classes"].setdefault(
-            tag, {"bound": str(bounds[tag]), "max_size": 0, "slack": None}
-        )
+    def check_class(tag: str, bound: Fraction, size: int, where: str) -> None:
+        entry = classes[tag]
         entry["max_size"] = max(entry["max_size"], size)
-        if size > bounds[tag]:
+        if size > bound:
             report["violations"].append({"class": tag, "size": size, "at": where})
             report["ok"] = False
 
+    # A graph-side class also counts the event itself, whatever its type; an
+    # image-side class counts only the events of its type.
     for idx, ev in enumerate(events):
         for x in ev.g_support:
-            for type_tag, g_tag in ((INTERSECTING, G_SIDE_INT), (DISJOINT, G_SIDE_DIS)):
-                if mode == "proper" and type_tag == DISJOINT:
-                    continue
-                members = by_g_vertex.get((x, type_tag), set()) | {idx}
-                check_class(g_tag, len(members), f"event {idx}, graph vertex {x}")
+            for t, bound in profile.graph.items():
+                members = by_g_vertex.get((x, t), set()) | {idx}
+                check_class(f"G-side-{t}", bound, len(members), f"event {idx}, graph vertex {x}")
         for u in ev.image_support:
-            for type_tag, kn_tag in ((INTERSECTING, KN_SIDE_INT), (DISJOINT, KN_SIDE_DIS)):
-                if mode == "proper" and type_tag == DISJOINT:
-                    continue
-                members = by_img_vertex.get((u, type_tag), set())
-                check_class(kn_tag, len(members), f"event {idx}, image vertex {u}")
+            for t, bound in profile.image.items():
+                members = by_img_vertex.get((u, t), set())
+                check_class(f"Kn-side-{t}", bound, len(members), f"event {idx}, image vertex {u}")
 
     # Cliqueness: members of each index set must be pairwise adjacent in
     # the intersection graph (they share the indexing vertex, so this also

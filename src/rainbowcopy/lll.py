@@ -111,8 +111,8 @@ class LLLCertificate:
                 "verdict": self.verdict,
                 "conditions": [c.to_json() for c in self.conditions],
             }
-        except ValueError:  # an exact rational beyond the int-to-str digit limit
-            raise CapacityError("certificate has a number too long to print exactly") from None
+        except (ValueError, OverflowError):  # beyond the int-to-str digit limit or the float range
+            raise CapacityError("certificate has a number too large to print") from None
 
 
 def _min_margin(conditions: Sequence[ConditionCheck]) -> Fraction | float:
@@ -192,10 +192,11 @@ def check_cluster_exact(probabilities, dep: DependencyGraph, mu_assignment) -> L
 
 
 def _clique_terms(p_by_class, clique_profile) -> dict[str, tuple[Fraction, list]]:
-    """Normalise the clique form to {type s: (p_s, [(count, {type t: bound_t})])},
-    types in the order intersecting, disjoint, so that the condition for s reads
+    """Normalise the clique form to {type s: (p_s, profile_s.cliques())}, types
+    in the order intersecting, disjoint, so that with the graph-side and the
+    image-side bounds of profile_s the condition for s reads
 
-        p_s <= mu_s / prod over cliques (1 + sum_t mu_t * bound_t) ** count.
+        p_s <= mu_s / prod over the two sides (1 + sum_t mu_t * bound_t) ** count.
 
     A bare probability and profile are the one intersecting type."""
     if isinstance(clique_profile, NeighbourhoodProfile):
@@ -214,7 +215,8 @@ def _clique_terms(p_by_class, clique_profile) -> dict[str, tuple[Fraction, list]
 
 
 def _clique_factor(cliques, mu_by_type) -> Fraction:
-    """prod over cliques (1 + sum_t mu_t * bound_t) ** count, for cliques as
+    """prod over cliques (1 + sum_t mu_t * bound_t) ** count, for cliques
+    given as (count, {event type t: bound_t}) pairs, as
     NeighbourhoodProfile.cliques() lists them."""
     factor = Fraction(1)
     for count, bounds in cliques:
@@ -526,8 +528,8 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
             raise DomainError(f"k={k} exceeds the thm7 bound {bound}")
         mu = dict(zip((INTERSECTING, DISJOINT), paper_mu_rainbow(n)))
         # an event vertex has one graph-side and one image-side mixed clique
-        cliques = profiles[INTERSECTING].cliques()
-        product = _clique_factor([(1, bounds) for _, bounds in cliques], mu)
+        prof = profiles[INTERSECTING]
+        product = _clique_factor([(1, prof.graph), (1, prof.image)], mu)
         cap = Fraction(50, 51) * Fraction(14, 10)
         p_int, p_dis = probabilities[INTERSECTING], probabilities[DISJOINT]
         dis_lower = Fraction(51, 50 * n) ** 4

@@ -5,9 +5,13 @@ and repeatedly repairs it: while some pair of graph edges violates the
 colour constraint, the images of the vertices spanning the (canonically
 smallest) violating pair are resampled by swapping them with uniformly
 random positions of the injection extended to a full permutation of the
-K_n vertices.  Swap resampling keeps the injection uniform outside the
-resampled support; the loop is the constructive counterpart of the
-existence statements certified by the lll module.
+K_n vertices.  Each swap draws its position from all n positions, including
+positions already swapped in the same step, so one step from a uniform
+injection conditioned on an event is not uniform: on n = 5 with P_3 the 60
+injections get probabilities from 1/125 to 1/25 (exact enumeration).  The
+step is therefore not yet the resampling oracle of the algorithmic local
+lemma.  The loop is the constructive counterpart of the existence
+statements certified by the lll module.
 
 Violations are tracked incrementally in an index keyed by ints (the image
 colour, or colour and endpoint in proper mode) whose members are graph
@@ -227,11 +231,13 @@ def find_copy(
     Draws the seed's random injection and loops: with no violating pair the
     embedding is re-verified independently and returned; otherwise the
     smallest violating pair's 3-4 graph vertices each have their image
-    swapped with a uniformly random position of the injection padded to a
-    full permutation of the K_n vertices.  Each loop iteration counts as
-    one resample; the run fails once max_resamples iterations have been
-    spent (default 1000 * |E|^2; a negative budget is a DomainError).
-    Deterministic given the seed.
+    swapped with a uniformly random one of all n positions of the injection
+    padded to a full permutation of the K_n vertices, positions already
+    swapped in the same step included, so one step is not uniform (see the
+    module docstring).  Each loop iteration counts as one resample; the run
+    fails once max_resamples iterations have been spent (default
+    1000 * |E|^2; a negative budget is a DomainError).  Deterministic given
+    the seed.
     """
     if mode not in ("proper", "rainbow"):
         raise DomainError(f"unknown mode {mode!r}")

@@ -182,6 +182,14 @@ class TestCertify:
         assert captured.out == "" and captured.err.startswith("error:")
 
     @pytest.mark.parametrize("mode", ["rainbow", "proper"])
+    def test_margin_beyond_the_float_range_exit_2(self, mode, capsys):
+        # at k = 0 the searched weight is MU_HI and the margin about 1000 * n^3
+        assert main(["certify", "--mode", mode, "--n", str(10**110), "--delta", "1",
+                     "--k", "0", "--search-mu"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["rainbow", "proper"])
     def test_search_mu_huge_n_fails_with_json(self, mode, capsys):
         code = main(["certify", "--mode", mode, "--n", str(10**40), "--delta", "1",
                      "--k", "1", "--search-mu"])

@@ -26,15 +26,7 @@ from rainbowcopy import (
     path_graph,
     verify_clique_bounds,
 )
-from rainbowcopy.events import (
-    DISJOINT,
-    G_SIDE_DIS,
-    G_SIDE_INT,
-    INTERSECTING,
-    KN_SIDE_INT,
-    CliqueClass,
-    NeighbourhoodProfile,
-)
+from rainbowcopy.events import DISJOINT, INTERSECTING
 from rainbowcopy.oracle import count_injections_in_event
 
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -227,35 +219,42 @@ class TestCliqueCovers:
             total_cherries=1, max_cherries_per_vertex=1, max_degree=2, edge_count=2
         )
         profile = clique_cover_proper(stats, 5, 1)
-        bounds = profile.bounds_by_tag()
-        assert bounds[G_SIDE_INT] == 20
-        assert bounds[KN_SIDE_INT] == 12
-        assert all(entry.count == 3 for entry in profile.entries)
+        assert profile.count == 3
+        assert profile.graph == {INTERSECTING: 20}
+        assert profile.image == {INTERSECTING: 12}
 
     def test_proper_k0(self):
         stats = cherry_stats(cycle_graph(5))
         profile = clique_cover_proper(stats, 5, 0)
-        assert all(entry.size_bound == 0 for entry in profile.entries)
+        assert profile.cliques() == [(3, {INTERSECTING: 0}), (3, {INTERSECTING: 0})]
 
     def test_proper_c5(self):
         profile = clique_cover_proper(cherry_stats(cycle_graph(5)), 5, 1)
-        bounds = profile.bounds_by_tag()
-        assert bounds[G_SIDE_INT] == 60
-        assert bounds[KN_SIDE_INT] == 60
+        assert profile.graph == {INTERSECTING: 60}
+        assert profile.image == {INTERSECTING: 60}
 
     def test_rainbow_example(self):
         profile = clique_cover_rainbow(1, 10, 1, INTERSECTING)
-        assert [entry.count for entry in profile.entries] == [3, 3, 3, 3]
-        assert [entry.size_bound for entry in profile.entries] == [150, 1000, 100, 1000]
+        assert profile.count == 3
+        assert [profile.graph, profile.image] == [
+            {INTERSECTING: 150, DISJOINT: 1000},
+            {INTERSECTING: 100, DISJOINT: 1000},
+        ]
 
     def test_rainbow_disjoint_has_four_vertices(self):
         profile = clique_cover_rainbow(1, 10, 1, DISJOINT)
-        assert [entry.count for entry in profile.entries] == [4, 4, 4, 4]
-        assert [entry.size_bound for entry in profile.entries] == [150, 1000, 100, 1000]
+        assert profile.count == 4
+        assert [profile.graph, profile.image] == [
+            {INTERSECTING: 150, DISJOINT: 1000},
+            {INTERSECTING: 100, DISJOINT: 1000},
+        ]
 
     def test_rainbow_degenerate_k0(self):
         profile = clique_cover_rainbow(2, 77, 0, INTERSECTING)
-        assert all(entry.size_bound == 0 for entry in profile.entries)
+        assert profile.cliques() == [
+            (3, {INTERSECTING: 0, DISJOINT: 0}),
+            (3, {INTERSECTING: 0, DISJOINT: 0}),
+        ]
 
     def test_cliques_group_each_side_by_type(self):
         rainbow = clique_cover_rainbow(1, 10, 1, DISJOINT)
@@ -265,16 +264,6 @@ class TestCliqueCovers:
         ]
         proper = clique_cover_proper(cherry_stats(cycle_graph(5)), 5, 1)
         assert proper.cliques() == [(3, {INTERSECTING: 60}), (3, {INTERSECTING: 60})]
-
-    @pytest.mark.parametrize("entries", [
-        (CliqueClass(1, Fraction(2), "generic"),),
-        (CliqueClass(1, Fraction(2), "-intersecting"),),
-        (CliqueClass(1, Fraction(2), "G-side-neither"),),
-        (CliqueClass(3, Fraction(2), G_SIDE_INT), CliqueClass(4, Fraction(2), G_SIDE_DIS)),
-    ])
-    def test_cliques_reject_bad_tags_and_count_mismatch(self, entries):
-        with pytest.raises(DomainError):
-            NeighbourhoodProfile(entries).cliques()
 
     def test_bad_args(self):
         with pytest.raises(DomainError):
@@ -298,6 +287,26 @@ class TestVerifyCliqueBounds:
         assert report["ok"]
         for entry in report["classes"].values():
             assert Fraction(entry["slack"]) >= 0
+
+    @pytest.mark.parametrize("g, colouring, mode, n_events, classes", [
+        (cycle_graph(4), gen_k_bounded(6, 2, 9), "rainbow", 88, {
+            "G-side-intersecting": ("432", 19), "G-side-disjoint": ("1728", 65),
+            "Kn-side-intersecting": ("288", 24), "Kn-side-disjoint": ("1728", 48),
+        }),
+        (path_graph(3), constant_colouring(3), "proper", 6, {
+            "G-side-intersecting": ("12", 6), "Kn-side-intersecting": ("12", 6),
+        }),
+        (path_graph(4), gen_k_bounded(5, 3, 1), "rainbow", 44, {
+            "G-side-intersecting": ("450", 29), "G-side-disjoint": ("1500", 17),
+            "Kn-side-intersecting": ("300", 24), "Kn-side-disjoint": ("1500", 16),
+        }),
+    ], ids=["c4-rainbow", "p3-proper", "p4-rainbow"])
+    def test_class_bounds_and_maxima_are_pinned(self, g, colouring, mode, n_events, classes):
+        # a graph-side class also counts the event itself, whatever its type
+        report = verify_clique_bounds(g, colouring, mode)
+        assert report["n_events"] == n_events
+        got = {tag: (entry["bound"], entry["max_size"]) for tag, entry in report["classes"].items()}
+        assert got == classes
 
     def test_random_instances(self):
         rng = random.Random(23)

@@ -28,7 +28,6 @@ from rainbowcopy import (
 from rainbowcopy.events import (
     DISJOINT,
     INTERSECTING,
-    CliqueClass,
     NeighbourhoodProfile,
     clique_cover_rainbow,
     proper_profile_from_rates,
@@ -37,7 +36,7 @@ from rainbowcopy.lll import MU_HI, MU_LO
 
 
 def single_clique_profile(size) -> NeighbourhoodProfile:
-    return NeighbourhoodProfile((CliqueClass(1, Fraction(size), "G-side-intersecting"),))
+    return NeighbourhoodProfile(1, {INTERSECTING: Fraction(size)}, {})
 
 
 def rainbow_cell(n, delta, k):
