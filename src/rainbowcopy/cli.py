@@ -187,6 +187,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     # built before the first trial, so a size the family refuses fails here
     graphs = {n: _FAMILIES[family](n if graph_size == "n" else graph_size) for n in n_values}
 
+    gen = gen_k_bounded if colouring_kind == "global" else gen_locally_k_bounded
     rows = []
     trial_id = 0
     successes = 0
@@ -196,7 +197,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             delta = max(g.degrees, default=0)
             for _ in range(seeds_per_cell):
                 seed = _derive_seed(master_seed, trial_id)
-                gen = gen_k_bounded if colouring_kind == "global" else gen_locally_k_bounded
                 colouring = gen(n, k, seed)
                 start = time.perf_counter()
                 result = find_copy(g, colouring, mode, seed=seed, max_resamples=max_resamples)
@@ -208,7 +208,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 )
                 trial_id += 1
 
-    rows.sort(key=lambda row: row[0])
     with open(args.output, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["trial_id", "n", "delta", "k", "mode", "seed", "outcome", "resamples", "ms"])

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 from .colouring import EdgeColouring, boundedness, row_offsets
@@ -313,11 +313,14 @@ def clique_cover_rainbow(delta: int, n: int, k, type_tag: str) -> NeighbourhoodP
 def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
     """Exhaustively check the analytic clique bounds on a small instance.
 
-    Enumerates all bad events, groups each event's neighbourhood into the
-    per-vertex clique classes, asserts every class cardinality stays within
-    its analytic bound, and double-checks that each class really is a clique
-    of the intersection graph.  Returns a report with per-class maxima and
-    slack; report["ok"] is False iff some bound is violated.
+    Enumerates all bad events and indexes them by (side, vertex, event
+    type): the events of that type whose support on that side, graph
+    vertices or images, holds the vertex.  Every class is checked by one
+    rule: for each event E and each vertex x of E on a side, the size of
+    the index entry of x for type t stays within the side's bound for t.
+    Each index entry is also checked to be a clique of the intersection
+    graph.  Returns a report with per-class maxima and slack; report["ok"]
+    is False iff some bound is violated or some entry is not a clique.
     """
     events = enumerate_bad_events(g, colouring, mode)
     n = colouring.n
@@ -330,10 +333,14 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
         delta = max(cherry_stats(g).max_degree, 1)
         profile = clique_cover_rainbow(delta, n, k, INTERSECTING)
 
+    sides = (
+        ("G-side", "graph vertex", profile.graph, [ev.g_support for ev in events]),
+        ("Kn-side", "image vertex", profile.image, [ev.image_support for ev in events]),
+    )
     # one class per side and event type, named "<side>-<type>"
     classes = {
         f"{side}-{t}": {"bound": str(bound), "max_size": 0, "slack": None}
-        for side, bounds in (("G-side", profile.graph), ("Kn-side", profile.image))
+        for side, _, bounds, _ in sides
         for t, bound in bounds.items()
     }
     report: dict = {
@@ -346,53 +353,37 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
         "cliques_are_cliques": True,
         "ok": True,
     }
-    dep = intersection_graph(events)
 
-    # Index events by the graph vertices and image vertices they touch,
-    # split by type.  Each index set is a clique: all members share the
-    # indexing vertex.
-    by_g_vertex: dict[tuple[int, str], set[int]] = {}
-    by_img_vertex: dict[tuple[int, str], set[int]] = {}
-    for idx, ev in enumerate(events):
-        for x in ev.g_support:
-            by_g_vertex.setdefault((x, ev.type_tag), set()).add(idx)
-        for u in ev.image_support:
-            by_img_vertex.setdefault((u, ev.type_tag), set()).add(idx)
+    index: dict[tuple[str, int, str], set[int]] = {}
+    for side, _, _, supports in sides:
+        for i, (ev, support) in enumerate(zip(events, supports)):
+            for x in support:
+                index.setdefault((side, x, ev.type_tag), set()).add(i)
 
-    def check_class(tag: str, bound: Fraction, size: int, where: str) -> None:
-        entry = classes[tag]
-        entry["max_size"] = max(entry["max_size"], size)
-        if size > bound:
-            report["violations"].append({"class": tag, "size": size, "at": where})
-            report["ok"] = False
-
-    # A graph-side class also counts the event itself, whatever its type; an
-    # image-side class counts only the events of its type.
-    for idx, ev in enumerate(events):
-        for x in ev.g_support:
-            for t, bound in profile.graph.items():
-                members = by_g_vertex.get((x, t), set()) | {idx}
-                check_class(f"G-side-{t}", bound, len(members), f"event {idx}, graph vertex {x}")
-        for u in ev.image_support:
-            for t, bound in profile.image.items():
-                members = by_img_vertex.get((u, t), set())
-                check_class(f"Kn-side-{t}", bound, len(members), f"event {idx}, image vertex {u}")
-
-    # Cliqueness: members of each index set must be pairwise adjacent in
-    # the intersection graph (they share the indexing vertex, so this also
-    # cross-checks the adjacency construction).
-    for table in (by_g_vertex, by_img_vertex):
-        for key, members in table.items():
-            ordered = sorted(members)
-            for ai in range(len(ordered)):
-                for bi in range(ai + 1, len(ordered)):
-                    if ordered[bi] not in dep.adjacency[ordered[ai]]:
-                        report["cliques_are_cliques"] = False
-                        report["ok"] = False
+    for i in range(len(events)):
+        for side, what, bounds, supports in sides:
+            for x in supports[i]:
+                for t, bound in bounds.items():
+                    size = len(index.get((side, x, t), ()))
+                    entry = classes[f"{side}-{t}"]
+                    entry["max_size"] = max(entry["max_size"], size)
+                    if size > bound:
                         report["violations"].append(
-                            {"class": "cliqueness", "at": f"index {key}"}
+                            {"class": f"{side}-{t}", "size": size, "at": f"event {i}, {what} {x}"}
                         )
+                        report["ok"] = False
 
-    for tag, entry in report["classes"].items():
+    # Cliqueness: the members of an entry share its vertex, so they must be
+    # pairwise adjacent in the intersection graph; this cross-checks the
+    # adjacency construction.
+    dep = intersection_graph(events)
+    for key, members in index.items():
+        for a, b in combinations(sorted(members), 2):
+            if b not in dep.adjacency[a]:
+                report["cliques_are_cliques"] = False
+                report["ok"] = False
+                report["violations"].append({"class": "cliqueness", "at": f"index {key}"})
+
+    for entry in classes.values():
         entry["slack"] = str(_as_fraction(entry["bound"]) - entry["max_size"])
     return report

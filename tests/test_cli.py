@@ -237,6 +237,20 @@ class TestGenFindOracle:
         assert code == 1
         assert "no valid embedding" in capsys.readouterr().out
 
+    def test_oracle_on_a_long_path(self, tmp_path, capsys):
+        # deeper than the interpreter's recursion limit in graph vertices
+        col = tmp_path / "k1200.col"
+        assert main(["gen", "--n", "1200", "--k", "1", "--mode", "global", "--seed", "3",
+                     "-o", str(col)]) == 0
+        graph_file = tmp_path / "p1200.graph"
+        write_graph(graph_file, path_graph(1200))
+        capsys.readouterr()
+        for mode in ("proper", "rainbow"):
+            assert main(["oracle", "--graph", str(graph_file), "--colouring", str(col),
+                         "--mode", mode]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["mode"] == mode and len(doc["image_of"]) == 1200
+
     def test_find_zero_budget(self, tmp_path, capsys):
         graph_file = tmp_path / "p3.graph"
         graph_file.write_text("n 3\n0 1\n1 2\n", encoding="utf-8")

@@ -272,6 +272,49 @@ class TestCliqueCovers:
             clique_cover_rainbow(1, 10, 1, "neither")
 
 
+PINNED_CLASSES = [
+    (cycle_graph(4), gen_k_bounded(6, 2, 9), "rainbow", 88, {
+        "G-side-intersecting": ("432", 18), "G-side-disjoint": ("1728", 64),
+        "Kn-side-intersecting": ("288", 24), "Kn-side-disjoint": ("1728", 48),
+    }),
+    (path_graph(3), constant_colouring(3), "proper", 6, {
+        "G-side-intersecting": ("12", 6), "Kn-side-intersecting": ("12", 6),
+    }),
+    (path_graph(4), gen_k_bounded(5, 3, 1), "rainbow", 44, {
+        "G-side-intersecting": ("450", 28), "G-side-disjoint": ("1500", 16),
+        "Kn-side-intersecting": ("300", 24), "Kn-side-disjoint": ("1500", 16),
+    }),
+]
+
+
+def seeded_instances():
+    rng = random.Random(23)
+    for _ in range(6):
+        n = rng.randint(4, 6)
+        g = random_graph(rng, n, edge_prob=0.5, max_degree=3)
+        chi = gen_k_bounded(n, rng.randint(1, 3), rng.randrange(1000))
+        yield g, chi, rng.choice(["proper", "rainbow"])
+
+
+def brute_force_class_maxima(g, colouring, mode):
+    """Each class maximum recomputed pairwise from the event list: for a
+    side and an event type t, the largest number of type-t events whose
+    support on that side holds x, over all events E and vertices x of E on
+    that side.  Supports are read off the partial maps."""
+    events = enumerate_bad_events(g, colouring, mode)
+    types = [INTERSECTING] if mode == "proper" else [INTERSECTING, DISJOINT]
+    maxima = {}
+    for side, support in (("G-side", lambda ev: set(ev.partial_map())),
+                          ("Kn-side", lambda ev: set(ev.partial_map().values()))):
+        for t in types:
+            maxima[f"{side}-{t}"] = max(
+                (sum(t == f.type_tag and x in support(f) for f in events)
+                 for e in events for x in support(e)),
+                default=0,
+            )
+    return maxima
+
+
 class TestVerifyCliqueBounds:
     def test_p3_monochromatic(self):
         report = verify_clique_bounds(path_graph(3), constant_colouring(3), "proper")
@@ -288,35 +331,25 @@ class TestVerifyCliqueBounds:
         for entry in report["classes"].values():
             assert Fraction(entry["slack"]) >= 0
 
-    @pytest.mark.parametrize("g, colouring, mode, n_events, classes", [
-        (cycle_graph(4), gen_k_bounded(6, 2, 9), "rainbow", 88, {
-            "G-side-intersecting": ("432", 19), "G-side-disjoint": ("1728", 65),
-            "Kn-side-intersecting": ("288", 24), "Kn-side-disjoint": ("1728", 48),
-        }),
-        (path_graph(3), constant_colouring(3), "proper", 6, {
-            "G-side-intersecting": ("12", 6), "Kn-side-intersecting": ("12", 6),
-        }),
-        (path_graph(4), gen_k_bounded(5, 3, 1), "rainbow", 44, {
-            "G-side-intersecting": ("450", 29), "G-side-disjoint": ("1500", 17),
-            "Kn-side-intersecting": ("300", 24), "Kn-side-disjoint": ("1500", 16),
-        }),
-    ], ids=["c4-rainbow", "p3-proper", "p4-rainbow"])
+    @pytest.mark.parametrize("g, colouring, mode, n_events, classes", PINNED_CLASSES,
+                             ids=["c4-rainbow", "p3-proper", "p4-rainbow"])
     def test_class_bounds_and_maxima_are_pinned(self, g, colouring, mode, n_events, classes):
-        # a graph-side class also counts the event itself, whatever its type
         report = verify_clique_bounds(g, colouring, mode)
         assert report["n_events"] == n_events
         got = {tag: (entry["bound"], entry["max_size"]) for tag, entry in report["classes"].items()}
         assert got == classes
 
     def test_random_instances(self):
-        rng = random.Random(23)
-        for _ in range(6):
-            n = rng.randint(4, 6)
-            g = random_graph(rng, n, edge_prob=0.5, max_degree=3)
-            chi = gen_k_bounded(n, rng.randint(1, 3), rng.randrange(1000))
-            mode = rng.choice(["proper", "rainbow"])
+        for g, chi, mode in seeded_instances():
             report = verify_clique_bounds(g, chi, mode)
             assert report["ok"], report["violations"]
+
+    def test_class_maxima_match_brute_force(self):
+        instances = [(g, chi, mode) for g, chi, mode, _, _ in PINNED_CLASSES]
+        for g, chi, mode in instances + list(seeded_instances()):
+            report = verify_clique_bounds(g, chi, mode)
+            got = {tag: entry["max_size"] for tag, entry in report["classes"].items()}
+            assert got == brute_force_class_maxima(g, chi, mode)
 
 
 def test_dependency_graph_from_edges():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -70,6 +71,61 @@ class TestExistsCopy:
     def test_node_budget(self):
         with pytest.raises(CapacityError):
             exists_copy(cycle_graph(6), distinct_colouring(8), "rainbow", node_budget=3)
+
+    @pytest.mark.parametrize("g, mode", [
+        (path_graph(1200), "proper"),
+        (path_graph(1200), "rainbow"),
+        (cycle_graph(1200), "proper"),
+    ], ids=["path-proper", "path-rainbow", "cycle-proper"])
+    def test_long_graphs_have_no_depth_limit(self, g, mode):
+        # one stack frame per graph vertex would pass the interpreter's
+        # recursion limit here
+        chi = distinct_colouring(1200)
+        emb = exists_copy(g, chi, mode)
+        assert emb is not None and is_valid_embedding(emb, g, chi, mode)
+
+
+def pinned_instances():
+    """320 seeded instances at n 5-8, both modes, about half without a copy."""
+    rng = random.Random(4051)
+    for i in range(320):
+        n = 5 + i % 4
+        mode = ("proper", "rainbow")[i // 4 % 2]
+        g = random_graph(rng, rng.randint(2, n), edge_prob=0.5)
+        yield g, random_colouring(rng, n, rng.randint(1, 4)), mode
+
+
+class TestPinnedSearch:
+    """The search order and node accounting, pinned so that a rewrite of the
+    backtracker must reproduce them exactly."""
+
+    def test_first_embeddings_and_counts(self):
+        digest = hashlib.sha256()
+        total = without = 0
+        for g, chi, mode in pinned_instances():
+            emb = exists_copy(g, chi, mode)
+            count = count_valid_embeddings(g, chi, mode)
+            assert (emb is None) == (count == 0)
+            total += count
+            without += emb is None
+            digest.update(repr((None if emb is None else emb.image_of, count)).encode())
+        assert (total, without) == (29928, 147)
+        assert digest.hexdigest() == (
+            "b8bb70a11e1ab9225fa6b1411b207641f07f286659a640c6d45e9ad48a69eef8"
+        )
+
+    @pytest.mark.parametrize("g, chi, mode, exists_nodes, count, count_nodes", [
+        (path_graph(5), random_colouring(random.Random(15), 7, 2), "proper", 122, 184, 1075),
+        (cycle_graph(5), random_colouring(random.Random(37), 7, 5), "rainbow", 167, 40, 1999),
+        (cycle_graph(4), random_colouring(random.Random(8), 6, 2), "rainbow", 336, 0, 336),
+    ], ids=["p5-proper", "c5-rainbow", "c4-rainbow-none"])
+    def test_node_counts(self, g, chi, mode, exists_nodes, count, count_nodes):
+        assert (exists_copy(g, chi, mode, node_budget=exists_nodes) is None) == (count == 0)
+        with pytest.raises(CapacityError):
+            exists_copy(g, chi, mode, node_budget=exists_nodes - 1)
+        assert count_valid_embeddings(g, chi, mode, node_budget=count_nodes) == count
+        with pytest.raises(CapacityError):
+            count_valid_embeddings(g, chi, mode, node_budget=count_nodes - 1)
 
 
 class TestCountValidEmbeddings:
