@@ -323,6 +323,29 @@ def _cuts(text: str, start: int) -> Iterator[tuple[int, int]]:
         start = end
 
 
+def read_header(text: str) -> tuple[int, int, int]:
+    """(N, line number, characters read through that line) of the "n <N>"
+    header of a graph or colouring document: its first line that is neither
+    blank nor a '#' comment.  N must be a positive integer."""
+    lines = (line for s, e in _cuts(text, 0) for line in text[s:e].splitlines(keepends=True))
+    chars = 0
+    for lineno, raw in enumerate(lines, start=1):
+        chars += len(raw)
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2 or parts[0] != "n":
+            raise FormatError(f"line {lineno}: expected header 'n <N>', got {raw.strip()!r}")
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise FormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
+        if n < 1:
+            raise FormatError(f"line {lineno}: vertex count must be positive")
+        return n, lineno, chars
+    raise FormatError("empty document: missing 'n <N>' header")
+
+
 def load_colouring(text: str) -> EdgeColouring:
     """Parse a colouring document.
 
@@ -335,25 +358,7 @@ def load_colouring(text: str) -> EdgeColouring:
     block (comments, blank lines, other orders or orientations, CRLF,
     signs, errors) goes through the per-line parser.
     """
-    n: int | None = None
-    header_end = 0
-    lines = (line for s, e in _cuts(text, 0) for line in text[s:e].splitlines(keepends=True))
-    for header_lineno, raw in enumerate(lines, start=1):
-        header_end += len(raw)
-        parts = raw.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if len(parts) != 2 or parts[0] != "n":
-            raise FormatError(f"line {header_lineno}: expected header 'n <N>', got {raw.strip()!r}")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {header_lineno}: bad vertex count {parts[1]!r}") from None
-        if n < 1:
-            raise FormatError(f"line {header_lineno}: vertex count must be positive")
-        break
-    if n is None:
-        raise FormatError("empty document: missing 'n <N>' header")
+    n, header_lineno, header_end = read_header(text)
     _check_size(n)
     expected = n * (n - 1) // 2
     # every '\n' ends a line of its own, so only a short count needs the exact one

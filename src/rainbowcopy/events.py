@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
@@ -55,14 +56,15 @@ class CanonicalEvent:
     e_pair and f_pair are ordered graph edges with e1 < e2, f1 < f2 and
     e_pair lexicographically before f_pair; a_pair and b_pair are the
     (ordered) image pairs in K_n.  The induced partial map must be a
-    well-defined injection, and the type tag must match the support sizes.
+    well-defined injection.  Two distinct ascending pairs span 3 or 4
+    vertices, and an injection has as many images, so the type is derived
+    from the support: intersecting on 3 vertices, disjoint on 4.
     """
 
     e_pair: tuple[int, int]
     f_pair: tuple[int, int]
     a_pair: tuple[int, int]
     b_pair: tuple[int, int]
-    type_tag: str
 
     def __post_init__(self) -> None:
         e, f = self.e_pair, self.f_pair
@@ -73,14 +75,10 @@ class CanonicalEvent:
         pmap = self.partial_map()
         if len(set(pmap.values())) != len(pmap):
             raise DomainError(f"images are not injective: {pmap}")
-        g_support = len(set(e) | set(f))
-        img_support = len(set(self.a_pair) | set(self.b_pair))
-        expected = INTERSECTING if g_support == 3 else DISJOINT
-        if g_support not in (3, 4) or img_support != g_support or self.type_tag != expected:
-            raise DomainError(
-                f"type tag {self.type_tag!r} inconsistent with supports "
-                f"({g_support} graph vertices, {img_support} images)"
-            )
+
+    @cached_property
+    def type_tag(self) -> str:
+        return INTERSECTING if len(self.g_support) == 3 else DISJOINT
 
     def partial_map(self) -> dict[int, int]:
         """The induced partial injection (graph vertex -> K_n vertex).
@@ -126,8 +124,7 @@ def enumerate_bad_events(
     for i, e in enumerate(edges):
         for f in edges[i + 1 :]:
             support = list(dict.fromkeys(e + f))
-            tag = INTERSECTING if len(support) == 3 else DISJOINT
-            if mode == "proper" and tag != INTERSECTING:
+            if mode == "proper" and len(support) == 4:
                 continue
             # Iterating image tuples in lexicographic order of the support
             # (ordered by first appearance in e+f) also yields (a, b) pairs
@@ -140,23 +137,17 @@ def enumerate_bad_events(
                 ae = off[a[0]] + a[1] if a[0] < a[1] else off[a[1]] + a[0]
                 be = off[b[0]] + b[1] if b[0] < b[1] else off[b[1]] + b[0]
                 if table[ae] == table[be]:
-                    events.append(CanonicalEvent(e, f, a, b, tag))
+                    events.append(CanonicalEvent(e, f, a, b))
     return events
 
 
 def event_probability(event: CanonicalEvent, n: int) -> Fraction:
     """Probability of the event under a uniform random injection into K_n.
 
-    1/(n)_3 for intersecting type, 1/(n)_4 for disjoint type, independent
-    of the size of the embedded graph.
+    1/(n)_s for the s vertices the event pins (3 intersecting, 4 disjoint),
+    independent of the size of the embedded graph; a DomainError when n < s.
     """
-    if event.type_tag == INTERSECTING:
-        if n < 3:
-            raise DomainError(f"intersecting event needs n >= 3, got {n}")
-        return Fraction(1, falling_factorial(n, 3))
-    if n < 4:
-        raise DomainError(f"disjoint event needs n >= 4, got {n}")
-    return Fraction(1, falling_factorial(n, 4))
+    return Fraction(1, falling_factorial(n, len(event.g_support)))
 
 
 def conflict(x: CanonicalEvent, y: CanonicalEvent) -> bool:
@@ -282,7 +273,7 @@ def clique_cover_proper(stats, n: int, k) -> NeighbourhoodProfile:
     )
 
 
-def clique_cover_rainbow(delta: int, n: int, k, type_tag: str) -> NeighbourhoodProfile:
+def clique_cover_rainbow(delta: int, n: int, k, event_type: str) -> NeighbourhoodProfile:
     """Clique cover for an event in the rainbow setting.
 
     Per event vertex (3 if intersecting, 4 if disjoint) there is one mixed
@@ -294,8 +285,8 @@ def clique_cover_rainbow(delta: int, n: int, k, type_tag: str) -> NeighbourhoodP
         image side:  delta^2 * n^2 * k           (intersecting neighbours)
                      delta^2 * n^3 * k           (disjoint neighbours)
     """
-    if type_tag not in (INTERSECTING, DISJOINT):
-        raise DomainError(f"unknown type tag {type_tag!r}")
+    if event_type not in (INTERSECTING, DISJOINT):
+        raise DomainError(f"unknown event type {event_type!r}")
     if delta < 1:
         raise DomainError(f"need delta >= 1, got {delta}")
     k = _as_fraction(k)
@@ -304,7 +295,7 @@ def clique_cover_rainbow(delta: int, n: int, k, type_tag: str) -> NeighbourhoodP
     d2 = Fraction(delta * delta)
     dis = d2 * n * n * n * k
     return NeighbourhoodProfile(
-        3 if type_tag == INTERSECTING else 4,
+        3 if event_type == INTERSECTING else 4,
         {INTERSECTING: Fraction(3, 2) * d2 * n * n * k, DISJOINT: dis},
         {INTERSECTING: d2 * n * n * k, DISJOINT: dis},
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .colouring import MAX_VERTICES
+from .colouring import MAX_VERTICES, read_header
 from .errors import CapacityError, DomainError, FormatError
 
 __all__ = [
@@ -92,27 +92,17 @@ def load_graph(text: str) -> Graph:
     N is at most colouring.MAX_VERTICES, the largest K_n a colouring, and
     so an embedding, can have.
     """
-    n_vertices: int | None = None
+    n_vertices, header_lineno, header_end = read_header(text)
+    if n_vertices > MAX_VERTICES:
+        raise CapacityError(
+            f"line {header_lineno}: {n_vertices} vertices exceed the cap of {MAX_VERTICES}"
+        )
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text[header_end:].splitlines(), start=header_lineno + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if n_vertices is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise FormatError(f"line {lineno}: expected header 'n <N>', got {line!r}")
-            try:
-                n_vertices = int(parts[1])
-            except ValueError:
-                raise FormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
-            if n_vertices < 1:
-                raise FormatError(f"line {lineno}: vertex count must be positive")
-            if n_vertices > MAX_VERTICES:
-                raise CapacityError(
-                    f"line {lineno}: {n_vertices} vertices exceed the cap of {MAX_VERTICES}"
-                )
-            continue
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected '<u> <v>', got {line!r}")
         try:
@@ -127,8 +117,6 @@ def load_graph(text: str) -> Graph:
         if edge in edges:
             raise FormatError(f"line {lineno}: duplicate edge {u} {v}")
         edges.add(edge)
-    if n_vertices is None:
-        raise FormatError("empty document: missing 'n <N>' header")
     return Graph(n_vertices, frozenset(edges))
 
 

@@ -9,9 +9,10 @@ against exact rationals where the inputs are rational:
                      of the closed neighbourhood by mixed cliques, with one
                      weight per event type (one type proper, two rainbow)
 
-A certificate records the per-class probabilities, the parameters, the
-smallest RHS/LHS ratio over all checked conditions (the margin), and the
-verdict.  Equality counts as holding.
+A certificate records the per-class probabilities, the parameters and the
+checked conditions; each condition's verdict, the certificate's margin (the
+smallest RHS/LHS ratio) and its verdict are derived from them, never stored.
+Equality counts as holding.
 
 The mu search maximises the clique-form margin over the box [1e-12, 1e3]
 per weight.  In log mu the margin is log-concave, so a golden-section
@@ -21,15 +22,18 @@ rational arithmetic at the chosen parameters.
 
 The paper's two settings, thm3 (properly coloured copies) and thm7 (rainbow
 copies), are built in one place, certificate_inputs, from which the
-reference chain, the weight search and the command line all start.
+reference chain, the weight search and the command line all start.  Each
+threshold rule but thm2 has one exact bound on k: threshold floors it, and
+the reference chain checks k against it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CapacityError, DomainError
 from .events import (
@@ -66,10 +70,15 @@ THEOREMS = ("thm2", "thm3", "thm5", "thm7", "cor4")
 
 @dataclass(frozen=True)
 class ConditionCheck:
+    """One checked inequality, lhs <= rhs."""
+
     label: str
-    lhs: Fraction | float
-    rhs: Fraction | float
-    satisfied: bool
+    lhs: Fraction
+    rhs: Fraction
+
+    @property
+    def satisfied(self) -> bool:
+        return self.lhs <= self.rhs
 
     def margin(self) -> Fraction | float:
         if self.lhs == 0:
@@ -87,14 +96,22 @@ class ConditionCheck:
 
 @dataclass(frozen=True)
 class LLLCertificate:
-    """Outcome of one condition-variant check."""
+    """Outcome of one condition-variant check; the margin and the verdict
+    are read off the conditions."""
 
     variant: str
     parameters: dict
     probabilities: dict
-    margin: Fraction | float
-    holds: bool
-    conditions: tuple[ConditionCheck, ...] = field(default_factory=tuple)
+    conditions: tuple[ConditionCheck, ...]
+
+    @cached_property
+    def margin(self) -> Fraction | float:
+        """The smallest rhs/lhs over the conditions; inf when every lhs is 0."""
+        return min((c.margin() for c in self.conditions), default=math.inf)
+
+    @property
+    def holds(self) -> bool:
+        return all(c.satisfied for c in self.conditions)
 
     @property
     def verdict(self) -> str:
@@ -113,12 +130,6 @@ class LLLCertificate:
             }
         except (ValueError, OverflowError):  # beyond the int-to-str digit limit or the float range
             raise CapacityError("certificate has a number too large to print") from None
-
-
-def _min_margin(conditions: Sequence[ConditionCheck]) -> Fraction | float:
-    margins = [c.margin() for c in conditions]
-    finite = [m for m in margins if m != math.inf]
-    return min(finite) if finite else math.inf
 
 
 def _mu_of(mu_assignment, index: int):
@@ -179,14 +190,11 @@ def check_cluster_exact(probabilities, dep: DependencyGraph, mu_assignment) -> L
             raise DomainError(f"mu must be positive, got {mu_i} at {i}")
         mus[f"mu_{i}"] = mu_i
         z = independent_set_polynomial(dep, i, mu_assignment)
-        rhs = mu_i / z
-        conditions.append(ConditionCheck(f"event {i}", p, rhs, p <= rhs))
+        conditions.append(ConditionCheck(f"event {i}", p, mu_i / z))
     return LLLCertificate(
         variant="cluster-exact-10",
         parameters=mus,
         probabilities={f"event {i}": p for i, p in enumerate(probs)},
-        margin=_min_margin(conditions),
-        holds=all(c.satisfied for c in conditions),
         conditions=tuple(conditions),
     )
 
@@ -243,19 +251,17 @@ def check_cluster_clique(p_by_class, clique_profile, mu) -> LLLCertificate:
     if min(mu_by_type.values()) <= 0:
         raise DomainError(f"mu must be positive, got {min(mu_by_type.values())}")
 
-    conditions = []
-    for event_type, (p, cliques) in terms.items():
-        rhs = mu_by_type[event_type] / _clique_factor(cliques, mu_by_type)
-        conditions.append(ConditionCheck(event_type, p, rhs, p <= rhs))
+    conditions = tuple(
+        ConditionCheck(event_type, p, mu_by_type[event_type] / _clique_factor(cliques, mu_by_type))
+        for event_type, (p, cliques) in terms.items()
+    )
     one = len(terms) == 1
     names = dict.fromkeys(terms, "mu") if one else {INTERSECTING: "mu_int", DISJOINT: "mu_dis"}
     return LLLCertificate(
         variant="cluster-clique-3prime" if one else "cluster-two-type-4prime",
         parameters={names[t]: v for t, v in mu_by_type.items()},
         probabilities={t: p for t, (p, _) in terms.items()},
-        margin=_min_margin(conditions),
-        holds=all(c.satisfied for c in conditions),
-        conditions=tuple(conditions),
+        conditions=conditions,
     )
 
 
@@ -372,12 +378,30 @@ def _resolve_qp(n: int, *, delta=None, stats=None, q=None, p=None) -> tuple[Frac
     return q, p
 
 
-def _thm3_bound(n: int, q: Fraction, p: Fraction) -> Fraction:
-    """(1/3)(5/6)^5 (n - 2) / (q + 3p), the thm3 bound on k."""
-    weight = q + 3 * p
-    if weight <= 0:
-        raise DomainError(f"thm3 bound needs q + 3p > 0 (a graph with cherries), got {weight}")
-    return PROPER_THRESHOLD_COEFF * (n - 2) / weight
+def _degree(rule: str, delta, stats, least: int = 1) -> int:
+    """The maximum degree of a rule: delta, else the one in stats; a
+    DomainError when neither is given or it is below least."""
+    if delta is None and stats is not None:
+        delta = stats.max_degree
+    if delta is None:
+        raise DomainError(f"{rule} needs a maximum degree")
+    if delta < least:
+        raise DomainError(f"{rule} needs delta >= {least}, got {delta}")
+    return delta
+
+
+def _bound(theorem: str, n: int, *, delta=None, stats=None, q=None, p=None) -> Fraction:
+    """The exact bound on k of thm3, thm5, thm7 or cor4, as threshold lists
+    it; threshold floors it and verify_paper_inequalities checks k against it."""
+    if theorem == "thm5":
+        return Fraction(n, 64)
+    if theorem == "thm3":
+        q, p = _resolve_qp(n, delta=delta, stats=stats, q=q, p=p)
+        if q + 3 * p <= 0:
+            raise DomainError(f"thm3 needs q + 3p > 0 (a graph with cherries), got {q + 3 * p}")
+        return PROPER_THRESHOLD_COEFF * (n - 2) / (q + 3 * p)
+    d2 = _degree(theorem, delta, stats) ** 2
+    return Fraction(n, 51 * d2) if theorem == "thm7" else Fraction(5 * (n - 2), 112 * d2)
 
 
 def threshold(theorem: str, n: int, *, delta: int | None = None, stats=None, q=None, p=None) -> int:
@@ -385,43 +409,32 @@ def threshold(theorem: str, n: int, *, delta: int | None = None, stats=None, q=N
 
     thm2: largest k with 216*(3k + 2*delta)^7 * (delta + 1)^20 * k < n
           (strict; bisection over [0, n])
-    thm3: floor of (1/3)(5/6)^5 (n-2) / (q + 3p), locally bounded, proper;
+
+    The other rules floor an exact bound, and 0 when it is negative:
+    thm3: (1/3)(5/6)^5 (n-2) / (q + 3p), locally bounded, proper;
           the rates as in certificate_inputs
-    thm5: floor(n / 64), bounded, rainbow cycles
-    thm7: floor(n / (51 * delta^2)), bounded, rainbow
-    cor4: floor((n - 2) / (22.4 * delta^2)), locally bounded, proper
+    thm5: n / 64, bounded, rainbow cycles
+    thm7: n / (51 * delta^2), bounded, rainbow
+    cor4: (n - 2) / (22.4 * delta^2), locally bounded, proper
+
+    delta defaults to the maximum degree in stats.
     """
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    if theorem == "thm5":
-        return n // 64
-    if stats is not None and delta is None:
-        delta = stats.max_degree
-    if theorem in ("thm2", "thm7", "cor4"):
-        if delta is None:
-            raise DomainError(f"{theorem} needs a maximum degree")
-        least = 0 if theorem == "thm2" else 1
-        if delta < least:
-            raise DomainError(f"{theorem} needs delta >= {least}, got {delta}")
-    if theorem == "thm2":
-        # the left side grows with k, so the k that satisfy it are a prefix
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if 216 * (3 * mid + 2 * delta) ** 7 * (delta + 1) ** 20 * mid < n:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-    if theorem == "thm7":
-        return n // (51 * delta * delta)
-    if theorem == "cor4":
-        return max(0, (5 * (n - 2)) // (112 * delta * delta))
-    # thm3
-    q_val, p_val = _resolve_qp(n, delta=delta, stats=stats, q=q, p=p)
-    return max(0, math.floor(_thm3_bound(n, q_val, p_val)))
+    if theorem != "thm2":
+        return max(0, math.floor(_bound(theorem, n, delta=delta, stats=stats, q=q, p=p)))
+    delta = _degree(theorem, delta, stats, least=0)
+    # the left side grows with k, so the k that satisfy it are a prefix
+    lo, hi = 0, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if 216 * (3 * mid + 2 * delta) ** 7 * (delta + 1) ** 20 * mid < n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def certificate_inputs(setting: str, n: int, k, *, delta: int | None = None,
@@ -434,22 +447,19 @@ def certificate_inputs(setting: str, n: int, k, *, delta: int | None = None,
         q = (3/2) delta^2, p = delta^2 / 2.
     setting "thm7" (rainbow copies): the intersecting and disjoint types,
         probabilities 1/(n)_3 and 1/(n)_4, profiles clique_cover_rainbow;
-        delta defaults to stats.max_degree.
+        delta defaults to the maximum degree in stats.
 
     Returns (probabilities, profiles) in the form check_cluster_clique and
     optimize_mu take: one Fraction and one profile for thm3, mappings by
     event type for thm7.  k is not checked against the threshold.
     """
-    if delta is None and stats is not None:
-        delta = stats.max_degree
     if setting == "thm3":
         if n < 3:
             raise DomainError(f"thm3 needs n >= 3, got {n}")
         q_val, p_val = _resolve_qp(n, delta=delta, stats=stats, q=q, p=p)
         return Fraction(1, falling_factorial(n, 3)), proper_profile_from_rates(q_val, p_val, n, k)
     if setting == "thm7":
-        if delta is None or delta < 1:
-            raise DomainError(f"thm7 needs a maximum degree delta >= 1, got {delta}")
+        delta = _degree(setting, delta, stats)
         if n < 4:
             raise DomainError(f"thm7 needs n >= 4, got {n}")
         probabilities = {
@@ -492,58 +502,47 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
         two boundary inequalities (51/(50n))^4 >= 1/(n)_4 (needs n >= 77)
         and (51/(50n))^3 >= 1/(n)_3.
 
-    Parameters outside the threshold hypothesis (k above the bound, bad
-    delta) raise DomainError; the n >= 77 boundary itself is a reported
-    step, so the report can witness exactly where small n fails.
+    Parameters outside the threshold hypothesis (k above the bound that
+    threshold floors, bad delta) raise DomainError; the n >= 77 boundary
+    is a reported step, so the report can witness where small n fails.
     """
+    if setting not in ("thm3", "thm7"):
+        raise DomainError(f"unknown setting {setting!r}; expected 'thm3' or 'thm7'")
     k = _as_fraction(k)
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
+    rule = {"delta": delta, "stats": stats, "q": q, "p": p}
+    bound = _bound(setting, n, **rule)
+    if k > bound:
+        raise DomainError(f"k={k} exceeds the {setting} bound {bound}")
+    probabilities, profiles = certificate_inputs(setting, n, k, **rule)
     report: dict = {"setting": setting, "n": n, "k": k}
 
     if setting == "thm3":
-        q, p = _resolve_qp(n, delta=delta, stats=stats, q=q, p=p)
-        probability, profile = certificate_inputs("thm3", n, k, q=q, p=p)
-        bound = _thm3_bound(n, q, p)
-        if k > bound:
-            raise DomainError(f"k={k} exceeds the thm3 bound {bound}")
+        q, p = _resolve_qp(n, **rule)
         mu = paper_mu_proper(n)
-        product = _clique_factor(profile.cliques(), {INTERSECTING: mu})
-        direct = check_cluster_clique(probability, profile, mu)
-        k_mu_cap = Fraction(2, 5) / (falling_factorial(n, 2) * (q + 3 * p))
+        product = _clique_factor(profiles.cliques(), {INTERSECTING: mu})
+        direct = check_cluster_clique(probabilities, profiles, mu)
         steps = [
-            ConditionCheck("k*mu bound", k * mu, k_mu_cap, k * mu <= k_mu_cap),
-            ConditionCheck("product factor", product, Fraction(6, 5) ** 6,
-                           product <= Fraction(6, 5) ** 6),
+            ConditionCheck("k*mu bound", k * mu,
+                           Fraction(2, 5) / (falling_factorial(n, 2) * (q + 3 * p))),
+            ConditionCheck("product factor", product, Fraction(6, 5) ** 6),
             replace(direct.conditions[0], label="certificate"),
         ]
         report.update({"mu": mu, "q": q, "p": p})
-
-    elif setting == "thm7":
-        if delta is None and stats is not None:
-            delta = stats.max_degree
-        probabilities, profiles = certificate_inputs("thm7", n, k, delta=delta)
-        bound = Fraction(n, 51 * delta * delta)
-        if k > bound:
-            raise DomainError(f"k={k} exceeds the thm7 bound {bound}")
+    else:
         mu = dict(zip((INTERSECTING, DISJOINT), paper_mu_rainbow(n)))
         # an event vertex has one graph-side and one image-side mixed clique
         prof = profiles[INTERSECTING]
         product = _clique_factor([(1, prof.graph), (1, prof.image)], mu)
-        cap = Fraction(50, 51) * Fraction(14, 10)
-        p_int, p_dis = probabilities[INTERSECTING], probabilities[DISJOINT]
-        dis_lower = Fraction(51, 50 * n) ** 4
-        int_lower = Fraction(51, 50 * n) ** 3
+        lower = Fraction(51, 50 * n)
         steps = [
-            ConditionCheck("product factor", product, cap, product <= cap),
-            ConditionCheck("p_dis boundary", p_dis, dis_lower, dis_lower >= p_dis),
-            ConditionCheck("p_int boundary", p_int, int_lower, int_lower >= p_int),
+            ConditionCheck("product factor", product, Fraction(50, 51) * Fraction(14, 10)),
+            ConditionCheck("p_dis boundary", probabilities[DISJOINT], lower**4),
+            ConditionCheck("p_int boundary", probabilities[INTERSECTING], lower**3),
         ]
         direct = check_cluster_clique(probabilities, profiles, mu)
         report.update(direct.parameters)
-
-    else:
-        raise DomainError(f"unknown setting {setting!r}; expected 'thm3' or 'thm7'")
 
     report["product_factor"] = float(product)
     report["direct_certificate"] = direct.to_json()

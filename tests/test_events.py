@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -110,13 +110,13 @@ class TestEnumerate:
 
 class TestEventProbability:
     def test_formula_values(self):
-        ev_int = CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2), INTERSECTING)
-        ev_dis = CanonicalEvent((0, 1), (2, 3), (0, 1), (2, 3), DISJOINT)
+        ev_int = CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2))
+        ev_dis = CanonicalEvent((0, 1), (2, 3), (0, 1), (2, 3))
         assert event_probability(ev_int, 5) == Fraction(1, 60)
         assert event_probability(ev_dis, 5) == Fraction(1, 120)
 
     def test_small_n_rejected(self):
-        ev_dis = CanonicalEvent((0, 1), (2, 3), (0, 1), (2, 3), DISJOINT)
+        ev_dis = CanonicalEvent((0, 1), (2, 3), (0, 1), (2, 3))
         with pytest.raises(DomainError):
             event_probability(ev_dis, 3)
 
@@ -141,44 +141,54 @@ class TestEventProbability:
 class TestEventInvariants:
     def test_lex_order_enforced(self):
         with pytest.raises(DomainError):
-            CanonicalEvent((1, 2), (0, 1), (1, 2), (0, 1), INTERSECTING)
+            CanonicalEvent((1, 2), (0, 1), (1, 2), (0, 1))
         with pytest.raises(DomainError):
-            CanonicalEvent((1, 0), (2, 3), (1, 0), (2, 3), DISJOINT)
+            CanonicalEvent((1, 0), (2, 3), (1, 0), (2, 3))
 
     def test_injectivity_enforced(self):
         # shared graph vertex 1 sent to two different images
         with pytest.raises(DomainError):
-            CanonicalEvent((0, 1), (1, 2), (0, 1), (2, 3), INTERSECTING)
+            CanonicalEvent((0, 1), (1, 2), (0, 1), (2, 3))
         # distinct graph vertices colliding on one image
         with pytest.raises(DomainError):
-            CanonicalEvent((0, 1), (2, 3), (0, 1), (0, 2), DISJOINT)
+            CanonicalEvent((0, 1), (2, 3), (0, 1), (0, 2))
 
-    def test_type_tag_must_match_support(self):
-        with pytest.raises(DomainError):
-            CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2), DISJOINT)
-        with pytest.raises(DomainError):
-            CanonicalEvent((0, 1), (2, 3), (0, 1), (2, 3), INTERSECTING)
+    def test_every_event_has_its_type_by_support(self):
+        # all pairs over 4 vertices on both sides: whatever constructs pins
+        # 3 or 4 graph vertices to as many images, and its type follows
+        pairs = list(product(range(4), repeat=2))
+        types = set()
+        for e, f, a, b in product(pairs, repeat=4):
+            try:
+                ev = CanonicalEvent(e, f, a, b)
+            except DomainError:
+                continue
+            size = len(ev.g_support)
+            assert len(ev.image_support) == size in (3, 4)
+            assert ev.type_tag == (INTERSECTING if size == 3 else DISJOINT)
+            types.add(ev.type_tag)
+        assert types == {INTERSECTING, DISJOINT}
 
 
 class TestConflict:
     def test_same_edges_different_images(self):
-        x = CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2), INTERSECTING)
-        y = CanonicalEvent((0, 1), (1, 2), (3, 1), (1, 2), INTERSECTING)
+        x = CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2))
+        y = CanonicalEvent((0, 1), (1, 2), (3, 1), (1, 2))
         assert conflict(x, y)
 
     def test_disjoint_supports_no_conflict(self):
-        x = CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2), INTERSECTING)
-        y = CanonicalEvent((3, 4), (4, 5), (3, 4), (4, 5), INTERSECTING)
+        x = CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2))
+        y = CanonicalEvent((3, 4), (4, 5), (3, 4), (4, 5))
         assert not conflict(x, y)
 
     def test_consistent_overlap_no_conflict(self):
-        x = CanonicalEvent((0, 1), (1, 2), (5, 6), (6, 7), INTERSECTING)
-        y = CanonicalEvent((1, 3), (3, 4), (6, 8), (8, 9), INTERSECTING)
+        x = CanonicalEvent((0, 1), (1, 2), (5, 6), (6, 7))
+        y = CanonicalEvent((1, 3), (3, 4), (6, 8), (8, 9))
         assert not conflict(x, y)
 
     def test_image_collision_conflicts(self):
-        x = CanonicalEvent((0, 1), (1, 2), (5, 6), (6, 7), INTERSECTING)
-        y = CanonicalEvent((3, 4), (4, 8), (5, 9), (9, 2), INTERSECTING)
+        x = CanonicalEvent((0, 1), (1, 2), (5, 6), (6, 7))
+        y = CanonicalEvent((3, 4), (4, 8), (5, 9), (9, 2))
         assert conflict(x, y)  # image 5 used for graph vertices 0 and 3
 
 
@@ -188,8 +198,8 @@ class TestIntersectionGraph:
         assert len(dep) == 0
 
     def test_disjoint_pair_no_edge(self):
-        x = CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2), INTERSECTING)
-        y = CanonicalEvent((3, 4), (4, 5), (3, 4), (4, 5), INTERSECTING)
+        x = CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2))
+        y = CanonicalEvent((3, 4), (4, 5), (3, 4), (4, 5))
         dep = intersection_graph([x, y])
         assert dep.adjacency == (frozenset(), frozenset())
 

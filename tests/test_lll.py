@@ -22,6 +22,7 @@ from rainbowcopy import (
     optimize_mu,
     paper_mu_proper,
     paper_mu_rainbow,
+    path_graph,
     threshold,
     verify_paper_inequalities,
 )
@@ -548,6 +549,19 @@ class TestVerifyPaperInequalities:
     def test_thm7_k_above_bound_rejected(self):
         with pytest.raises(DomainError):
             verify_paper_inequalities("thm7", n=500, k=3, delta=2)
+
+    @pytest.mark.parametrize("setting", ["thm3", "thm7"])
+    def test_threshold_is_the_largest_k_the_chain_accepts(self, setting):
+        graphs = (path_graph(3), cycle_graph(5), complete_graph(4))
+        rules = [{"delta": d} for d in (1, 2, 3)] + [{"stats": cherry_stats(g)} for g in graphs]
+        if setting == "thm3":
+            rules += [{"q": q, "p": p} for q, p in ((1, 0), (0, 1), (6, 2), ("7/2", "1/3"))]
+        for n in (4, 5, 76, 77, 100, 203, 1000, 1020, 10**4, 10**6):
+            for rule in rules:
+                k = threshold(setting, n, **rule)
+                verify_paper_inequalities(setting, n=n, k=k, **rule)
+                with pytest.raises(DomainError, match="exceeds"):
+                    verify_paper_inequalities(setting, n=n, k=k + 1, **rule)
 
     def test_thm3_regular_case_recovers_rounded_constant(self):
         # q = (3/2)d^2, p = d^2/2 turns the threshold into
