@@ -38,7 +38,9 @@ def _read_graph(path: str):
 
 
 def _read_colouring(path: str):
-    return load_colouring(Path(path).read_text(encoding="utf-8"))
+    # opened as read_text opens it (universal newlines), read a block at a time
+    with open(path, encoding="utf-8") as source:
+        return load_colouring(source)
 
 
 def _fraction(text: str) -> Fraction:
@@ -99,7 +101,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         colouring = gen_k_bounded(args.n, args.k, args.seed)
     else:
         colouring = gen_locally_k_bounded(args.n, args.k, args.seed)
-    Path(args.output).write_text(save_colouring(colouring), encoding="utf-8")
+    with open(args.output, "w", encoding="utf-8") as out:
+        save_colouring(colouring, out)
     bounds = boundedness(colouring)
     _print_json(
         {
@@ -107,7 +110,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "n": args.n,
             "k": args.k,
             "mode": args.mode,
-            "colours": len(colouring.colours_used()),
+            "colours": bounds.colours,
             "global_bound": bounds.global_bound,
             "local_bound": bounds.local_bound,
         }
@@ -243,11 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=_fraction)
     s.add_argument("--q", type=_fraction)
     s.add_argument("--k", type=_fraction, required=True, help="colour bound (integer or fraction)")
-    group = s.add_mutually_exclusive_group()
-    group.add_argument("--paper-mu", action="store_true", default=False,
-                       help="use the fixed reference weights (default)")
-    group.add_argument("--search-mu", action="store_true", default=False,
-                       help="search the weights numerically")
+    s.add_argument("--search-mu", action="store_true", default=False,
+                   help="search the weights numerically instead of checking the reference chain")
     s.set_defaults(func=_cmd_certify)
 
     s = sub.add_parser("gen", help="generate a bounded colouring file")

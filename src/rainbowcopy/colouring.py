@@ -11,11 +11,15 @@ oracle and events modules read the table that way, and every other caller
 goes through the checked accessor EdgeColouring.colour.  n is capped at
 MAX_VERTICES, which keeps a table under 540 MB.
 
-load_colouring reads a document in blocks of whole lines, so besides the
-table it holds one block's tokens at a time, not the document's split
-lines.  Blocks in the order and form save_colouring writes go into the
-table in one slice each; any other order, orientation, spelling or
-comment is still accepted, line by line.
+Colouring files stream in both directions.  save_colouring writes the
+header and then one row of edges at a time to a text stream (or returns
+the whole document as a str), and load_colouring reads a document, a str
+or a seekable text stream, in blocks of whole lines: a str is cut by
+slicing, a stream is read a block at a time.  Besides the table the
+loader makes one block and its tokens at a time, never a copy of the
+whole document.  Blocks in the order and form save_colouring writes go
+into the table in one slice each; any other order, orientation, spelling
+or comment is still accepted, line by line.
 
 Two boundedness measures matter: the *global* bound (largest number of
 edges sharing one colour anywhere in K_n) and the *local* bound (largest
@@ -27,6 +31,7 @@ construction instead of by rejection.
 
 from __future__ import annotations
 
+import io
 import random
 import re
 from array import array
@@ -34,7 +39,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, TextIO
 
 from .errors import CapacityError, DomainError, FormatError
 
@@ -129,13 +134,21 @@ class EdgeColouring:
             raise DomainError(f"edge {(u, v)} outside K_{self.n}")
         return self.table[u * (2 * self.n - u - 3) // 2 + v - 1]
 
-    def colours_used(self) -> set[int]:
-        return set(self.table)
+
+def _checked_colouring(n: int, table: array) -> EdgeColouring:
+    """The colouring of a table the caller has checked: an array('i') of
+    C(n, 2) colours in 0..COLOUR_MAX, n within the cap.  It skips the
+    constructor's scan of the table."""
+    colouring = object.__new__(EdgeColouring)
+    object.__setattr__(colouring, "n", n)
+    object.__setattr__(colouring, "table", table)
+    return colouring
 
 
 class Boundedness(NamedTuple):
     global_bound: int
     local_bound: int
+    colours: int  # distinct colours used
 
 
 def boundedness(colouring: EdgeColouring) -> Boundedness:
@@ -148,9 +161,11 @@ def boundedness(colouring: EdgeColouring) -> Boundedness:
         at_u = Counter(table[off[u] + u + 1 : off[u] + n])
         at_u.update(map(table.__getitem__, map(u.__add__, off[:u])))
         local_bound = max(local_bound, max(at_u.values(), default=0))
+    by_colour = Counter(table)
     return Boundedness(
-        global_bound=max(Counter(table).values(), default=0),
+        global_bound=max(by_colour.values(), default=0),
         local_bound=local_bound,
+        colours=len(by_colour),
     )
 
 
@@ -219,18 +234,26 @@ def distinct_colouring(n: int) -> EdgeColouring:
     return EdgeColouring(n, array("i", range(n * (n - 1) // 2)))
 
 
-def save_colouring(colouring: EdgeColouring) -> str:
-    """Serialise to the text format accepted by load_colouring."""
+def save_colouring(colouring: EdgeColouring, out: TextIO | None = None) -> str | None:
+    """Serialise to the text format accepted by load_colouring.
+
+    With a text stream out, write the header and then one row of edges at
+    a time to it and return None; without one, return the document.
+    """
+    if out is None:
+        out = io.StringIO()
+        save_colouring(colouring, out)
+        return out.getvalue()
     n, table = colouring.n, colouring.table
     off = row_offsets(n)
     tails = [f" {v} " for v in range(n)]
-    lines = [f"n {n}"]
+    out.write(f"n {n}\n")
     for u in range(n - 1):
         # row u: "u v c" for v > u, the " v " tails joined by "\nu"
         head = str(u)
         row = map(str, table[off[u] + u + 1 : off[u] + n])
-        lines.append(head + ("\n" + head).join(map(str.__add__, tails[u + 1 :], row)))
-    return "\n".join(lines) + "\n"
+        out.write(head + ("\n" + head).join(map(str.__add__, tails[u + 1 :], row)) + "\n")
+    return None
 
 
 def _store_canonical(
@@ -310,24 +333,38 @@ def _parse_lines(
         table[e] = c
 
 
-def _cuts(text: str, start: int) -> Iterator[tuple[int, int]]:
-    """Consecutive spans of text[start:] of about _BLOCK_CHARS characters.
+def _blocks(source: str | TextIO, start: int) -> Iterator[str]:
+    """The document from its character start on, in blocks of whole lines:
+    _BLOCK_CHARS - 1 characters and the rest of the line the last of them
+    ends in.
 
-    Each span ends just after a '\\n' or at the end of text.  No line
-    break pairs '\\n' with the character after it, so str.splitlines of
-    the spans, one after the other, gives the lines of the whole text.
+    Each block ends just after a '\\n' or at the end of the document.  No
+    line break pairs '\\n' with the character after it, so str.splitlines
+    of the blocks, one after the other, gives the lines of the whole
+    document.  A str is cut by slicing.  A text stream is read from its
+    beginning, so it has to be seekable: the first start characters are
+    skipped, then each block is read(_BLOCK_CHARS - 1) and readline(),
+    which cuts at the same places.
     """
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
-        yield start, end
-        start = end
+    if isinstance(source, str):
+        while start < len(source):
+            end = source.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(source)
+            yield source[start:end]
+            start = end
+        return
+    source.seek(0)
+    while start > 0 and source.read(min(start, _BLOCK_CHARS)):
+        start -= _BLOCK_CHARS
+    while block := source.read(_BLOCK_CHARS - 1):
+        yield block + source.readline()
 
 
-def read_header(text: str) -> tuple[int, int, int]:
+def read_header(source: str | TextIO) -> tuple[int, int, int]:
     """(N, line number, characters read through that line) of the "n <N>"
-    header of a graph or colouring document: its first line that is neither
-    blank nor a '#' comment.  N must be a positive integer."""
-    lines = (line for s, e in _cuts(text, 0) for line in text[s:e].splitlines(keepends=True))
+    header of a graph or colouring document, a str or a seekable text
+    stream: its first line that is neither blank nor a '#' comment.  N must
+    be a positive integer."""
+    lines = (line for block in _blocks(source, 0) for line in block.splitlines(keepends=True))
     chars = 0
     for lineno, raw in enumerate(lines, start=1):
         chars += len(raw)
@@ -346,24 +383,27 @@ def read_header(text: str) -> tuple[int, int, int]:
     raise FormatError("empty document: missing 'n <N>' header")
 
 
-def load_colouring(text: str) -> EdgeColouring:
-    """Parse a colouring document.
+def load_colouring(source: str | TextIO) -> EdgeColouring:
+    """Parse a colouring document, a str or a seekable text stream (read
+    from its beginning).
 
     Format: header "n <N>", then one "<u> <v> <c>" line per edge of K_n.
     Every edge must appear exactly once.  '#' lines are comments.  Colours
     are integers in 0..COLOUR_MAX and N is at most MAX_VERTICES.
 
-    The document is read in blocks of whole lines.  A block in the order
-    and form of save_colouring goes into the table in one slice; any other
-    block (comments, blank lines, other orders or orientations, CRLF,
-    signs, errors) goes through the per-line parser.
+    The document is read twice, in blocks of whole lines.  The first pass
+    finds the header and counts the lines, so a document too short for
+    K_N fails before the table is built.  In the second, a block in the
+    order and form of save_colouring goes into the table in one slice; any
+    other block (comments, blank lines, other orders or orientations,
+    CRLF, signs, errors) goes through the per-line parser.
     """
-    n, header_lineno, header_end = read_header(text)
+    n, header_lineno, header_end = read_header(source)
     _check_size(n)
     expected = n * (n - 1) // 2
     # every '\n' ends a line of its own, so only a short count needs the exact one
-    if text.count("\n", header_end) < expected:
-        n_lines = len(text[header_end:].splitlines())
+    if sum(block.count("\n") for block in _blocks(source, header_end)) < expected:
+        n_lines = sum(len(block.splitlines()) for block in _blocks(source, header_end))
         if n_lines < expected:
             raise FormatError(
                 f"colouring incomplete: {n_lines} lines after the header, "
@@ -373,8 +413,7 @@ def load_colouring(text: str) -> EdgeColouring:
     names = [str(v) for v in range(n)]
     table = array("i", [-1]) * expected
     lineno = header_lineno
-    for start, end in _cuts(text, header_end):
-        block = text[start:end]
+    for block in _blocks(source, header_end):
         count = _store_canonical(block, names, n, off, table)
         if not count:
             block_lines = block.splitlines()
@@ -388,4 +427,5 @@ def load_colouring(text: str) -> EdgeColouring:
             examples.append(table.index(-1, examples[-1] + 1))
         missing = [_edge_of(n, e) for e in examples]
         raise FormatError(f"colouring incomplete: {n_missing} missing edges, e.g. {missing}")
-    return EdgeColouring(n, table)
+    # every colour was checked as it was stored
+    return _checked_colouring(n, table)

@@ -39,6 +39,7 @@ __all__ = [
     "event_probability",
     "conflict",
     "intersection_graph",
+    "cherry_rates",
     "clique_cover_proper",
     "proper_profile_from_rates",
     "clique_cover_rainbow",
@@ -265,12 +266,15 @@ def proper_profile_from_rates(q, p, n: int, k) -> NeighbourhoodProfile:
     return NeighbourhoodProfile(3, {INTERSECTING: q * n2 * k}, {INTERSECTING: 3 * p * n2 * k})
 
 
+def cherry_rates(stats, n: int) -> tuple[int, Fraction]:
+    """The cherry rates (q, p) of a graph embedded in K_n: q is the
+    per-vertex cherry maximum and p = total_cherries / n."""
+    return stats.max_cherries_per_vertex, Fraction(stats.total_cherries, n)
+
+
 def clique_cover_proper(stats, n: int, k) -> NeighbourhoodProfile:
-    """Profile from cherry statistics: q is the per-vertex maximum and
-    p = total_cherries / n."""
-    return proper_profile_from_rates(
-        stats.max_cherries_per_vertex, Fraction(stats.total_cherries, n), n, k
-    )
+    """Profile from cherry statistics, at their cherry_rates."""
+    return proper_profile_from_rates(*cherry_rates(stats, n), n, k)
 
 
 def clique_cover_rainbow(delta: int, n: int, k, event_type: str) -> NeighbourhoodProfile:

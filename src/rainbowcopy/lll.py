@@ -41,6 +41,7 @@ from .events import (
     INTERSECTING,
     DependencyGraph,
     NeighbourhoodProfile,
+    cherry_rates,
     clique_cover_rainbow,
     proper_profile_from_rates,
     _as_fraction,
@@ -367,7 +368,7 @@ def _resolve_qp(n: int, *, delta=None, stats=None, q=None, p=None) -> tuple[Frac
     """Cherry rates (q, p) of the thm3 setting, resolved as certificate_inputs
     says; a negative delta, q or p is a DomainError."""
     if stats is not None:
-        q, p = stats.max_cherries_per_vertex, Fraction(stats.total_cherries, n)
+        q, p = cherry_rates(stats, n)
     elif q is None or p is None:
         if delta is None:
             raise DomainError("thm3 needs cherry statistics, q and p, or a maximum degree")

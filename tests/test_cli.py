@@ -9,6 +9,7 @@ from rainbowcopy import (
     certificate_inputs,
     constant_colouring,
     cycle_graph,
+    gen_k_bounded,
     optimize_mu,
     path_graph,
     save_colouring,
@@ -104,7 +105,7 @@ class TestThreshold:
 class TestCertify:
     def test_rainbow_at_bound_holds(self, capsys):
         code = main(
-            ["certify", "--mode", "rainbow", "--n", "204", "--delta", "1", "--k", "4", "--paper-mu"]
+            ["certify", "--mode", "rainbow", "--n", "204", "--delta", "1", "--k", "4"]
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
@@ -112,7 +113,7 @@ class TestCertify:
 
     def test_rainbow_below_boundary_fails(self, capsys):
         code = main(
-            ["certify", "--mode", "rainbow", "--n", "76", "--delta", "1", "--k", "1", "--paper-mu"]
+            ["certify", "--mode", "rainbow", "--n", "76", "--delta", "1", "--k", "1"]
         )
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
@@ -226,6 +227,16 @@ class TestGenFindOracle:
         # oracle agrees that a copy exists
         assert main(["oracle", "--graph", str(graph_file), "--colouring", str(col),
                      "--mode", "proper"]) == 0
+
+    def test_gen_writes_the_colouring_and_its_counts(self, tmp_path, capsys):
+        col = tmp_path / "k40.col"
+        assert main(["gen", "--n", "40", "--k", "7", "--mode", "global", "--seed", "5",
+                     "-o", str(col)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        chi = gen_k_bounded(40, 7, 5)
+        assert col.read_bytes() == save_colouring(chi).encode()
+        assert doc["colours"] == -(-780 // 7) == len(set(chi.table))
+        assert doc["global_bound"] == 7
 
     def test_oracle_impossible(self, tmp_path, capsys):
         graph_file = tmp_path / "p3.graph"

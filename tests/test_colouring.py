@@ -1,8 +1,13 @@
 import hashlib
+import io
 import math
 import random
+import tempfile
 import time
+import tracemalloc
 from collections import Counter
+from itertools import accumulate
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -32,29 +37,28 @@ K4_MATCHINGS = EdgeColouring(4, [0, 1, 2, 2, 1, 0])
 
 class TestBoundedness:
     def test_k4_perfect_matchings(self):
-        assert boundedness(K4_MATCHINGS) == (2, 1)
+        assert boundedness(K4_MATCHINGS) == (2, 1, 3)
 
     def test_all_distinct(self):
-        assert boundedness(distinct_colouring(5)) == (1, 1)
+        assert boundedness(distinct_colouring(5)) == (1, 1, 10)
 
     def test_monochromatic_k3(self):
-        assert boundedness(constant_colouring(3)) == (3, 2)
+        assert boundedness(constant_colouring(3)) == (3, 2, 1)
 
 
 class TestGenKBounded:
     def test_n4_k2(self):
         chi = gen_k_bounded(4, 2, 17)
-        assert len(chi.colours_used()) == 3
+        assert boundedness(chi).colours == 3
         assert boundedness(chi).global_bound <= 2
 
     def test_rainbow_k3(self):
         chi = gen_k_bounded(3, 1, 5)
-        assert len(chi.colours_used()) == 3
-        assert boundedness(chi) == (1, 1)
+        assert boundedness(chi) == (1, 1, 3)
 
     def test_n10_k3(self):
         chi = gen_k_bounded(10, 3, 99)
-        assert len(chi.colours_used()) == math.ceil(45 / 3) == 15
+        assert boundedness(chi).colours == math.ceil(45 / 3) == 15
         assert boundedness(chi).global_bound <= 3
 
     def test_deterministic(self):
@@ -72,16 +76,16 @@ class TestGenLocallyKBounded:
     def test_n4_k1_is_proper(self):
         chi = gen_locally_k_bounded(4, 1, 3)
         assert boundedness(chi).local_bound == 1
-        assert len(chi.colours_used()) == 3
+        assert boundedness(chi).colours == 3
 
     def test_n6_k2(self):
         chi = gen_locally_k_bounded(6, 2, 11)
-        assert len(chi.colours_used()) <= 3
+        assert boundedness(chi).colours <= 3
         assert boundedness(chi).local_bound <= 2
 
     def test_n5_k5_collapses(self):
         chi = gen_locally_k_bounded(5, 5, 0)
-        assert len(chi.colours_used()) == 1
+        assert boundedness(chi).colours == 1
         assert boundedness(chi).local_bound <= 4
 
     def test_deterministic(self):
@@ -98,7 +102,7 @@ SMALL_DOC = """n 3
 class TestLoadSave:
     def test_document_example(self):
         chi = load_colouring(SMALL_DOC)
-        assert boundedness(chi) == (2, 2)
+        assert boundedness(chi) == (2, 2, 2)
 
     def test_missing_edge(self):
         with pytest.raises(FormatError):
@@ -159,10 +163,11 @@ class TestSizeGuard:
 
     def test_two_line_file_at_the_cap_fails_fast(self):
         for n in (10_000, MAX_VERTICES):
-            start = time.perf_counter()
-            with pytest.raises(FormatError, match="incomplete"):
-                load_colouring(f"n {n}\n0 1 5\n")
-            assert time.perf_counter() - start < 0.1
+            for source in (f"n {n}\n0 1 5\n", io.StringIO(f"n {n}\n0 1 5\n")):
+                start = time.perf_counter()
+                with pytest.raises(FormatError, match="incomplete"):
+                    load_colouring(source)
+                assert time.perf_counter() - start < 0.1
 
     def test_generators_and_constructor_refuse_above_the_cap(self):
         assert MAX_VERTICES >= 10_000
@@ -209,7 +214,7 @@ def test_gen_k_bounded_properties(n, k, seed):
     chi = gen_k_bounded(n, k, seed)
     assert boundedness(chi).global_bound <= k
     n_edges = n * (n - 1) // 2
-    assert len(chi.colours_used()) == -(-n_edges // k)
+    assert boundedness(chi).colours == -(-n_edges // k)
 
 
 @settings(max_examples=60, derandomize=True)
@@ -244,12 +249,13 @@ def test_locally_1_bounded_is_proper(n, seed):
 def test_boundedness_matches_brute_force(n, n_colours, seed):
     chi = random_colouring(random.Random(seed), n, n_colours)
     edges = list(all_edges(n))
-    global_bound = max(Counter(chi.colour(u, v) for u, v in edges).values(), default=0)
+    by_colour = Counter(chi.colour(u, v) for u, v in edges)
+    global_bound = max(by_colour.values(), default=0)
     local_bound = max(
         (sum(chi.colour(*e) == chi.colour(*f) for f in edges if x in f) for e in edges for x in e),
         default=0,
     )
-    assert boundedness(chi) == (global_bound, local_bound)
+    assert boundedness(chi) == (global_bound, local_bound, len(by_colour))
 
 
 def _digest(text: str) -> str:
@@ -272,6 +278,9 @@ def test_saved_colourings_are_pinned(gen, n, k, seed, digest):
     text = save_colouring(gen(n, k, seed))
     assert _digest(text) == digest
     assert save_colouring(load_colouring(text)) == text
+    out = io.StringIO()
+    assert save_colouring(load_colouring(text), out) is None
+    assert out.getvalue() == text
 
 
 def reference_load(text: str) -> EdgeColouring:
@@ -336,19 +345,31 @@ def reference_load(text: str) -> EdgeColouring:
     return EdgeColouring(n, table)
 
 
-def load_outcome(load, text: str):
+def load_outcome(load, source):
     """The colouring a loader returns, or the text of its FormatError."""
     try:
-        return load(text)
+        return load(source)
     except FormatError as exc:
         return f"FormatError: {exc}"
+
+
+def assert_file_loads_as_text(text: str) -> None:
+    """Written to a file, the document loads from the open handle as it
+    does from the file's read_text."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.col"
+        path.write_text(text, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8") as handle:
+            streamed = load_outcome(load_colouring, handle)
+        assert streamed == load_outcome(load_colouring, path.read_text(encoding="utf-8"))
 
 
 def block_firsts(header: str, body: list[str]) -> list[int]:
     """Indices into body (lines with their endings) of the lines that start
     a parsing block of load_colouring, after the first block."""
     text = header + "".join(body)
-    starts = {start for start, _ in colouring._cuts(text, len(header))}
+    blocks = colouring._blocks(text, len(header))
+    starts = set(accumulate(map(len, blocks), initial=len(header)))
     firsts, offset = [], len(header)
     for i, line in enumerate(body):
         if offset in starts and i:
@@ -420,6 +441,7 @@ def test_block_parser_loads_what_the_reference_loads(n, seed, data):
     text = header + "".join(body)
     expected = load_outcome(reference_load, text)
     assert load_outcome(load_colouring, text) == expected
+    assert_file_loads_as_text(text)
 
 
 def _bad_line(kind: str, n: int, line: str, other: str, rng: random.Random) -> str:
@@ -472,6 +494,7 @@ def test_block_parser_reports_what_the_reference_reports(n, seed, kind, where, d
     expected = load_outcome(reference_load, text)
     assert isinstance(expected, str)
     assert load_outcome(load_colouring, text) == expected
+    assert_file_loads_as_text(text)
 
 
 def test_every_line_break_of_splitlines_counts():
@@ -482,6 +505,9 @@ def test_every_line_break_of_splitlines_counts():
         with pytest.raises(FormatError, match="^line 4: non-integer token"):
             load_colouring(text)
         assert load_outcome(load_colouring, text) == load_outcome(reference_load, text)
+        assert_file_loads_as_text(text)
+        # a short document of these breaks, whose lines a '\n' count misses
+        assert_file_loads_as_text(brk.join(["n 3", "0 1 7", "0 2 7"]))
 
 
 def test_lines_that_realign_into_triples_are_rejected():
@@ -496,6 +522,7 @@ def test_lines_that_realign_into_triples_are_rejected():
     assert load_outcome(load_colouring, text) == load_outcome(reference_load, text)
     with pytest.raises(FormatError, match=r"^line 2: expected '<u> <v> <c>', got '0 1'$"):
         load_colouring(text)
+    assert_file_loads_as_text(text)
 
 
 def test_save_colouring_order_never_reaches_the_per_line_parser():
@@ -512,3 +539,34 @@ def test_save_colouring_order_never_reaches_the_per_line_parser():
     with patch.object(colouring, "_parse_lines", lambda *a: calls.append(a) or real(*a)):
         assert load_colouring("\n".join(lines)) == chi
     assert len(calls) == 1
+
+
+def test_load_from_a_text_stream_reads_it_from_the_start():
+    chi = gen_k_bounded(150, 4, 2)
+    stream = io.StringIO()
+    save_colouring(chi, stream)
+    assert load_colouring(stream) == chi  # left at its end by the writes
+    stream.seek(17)
+    assert load_colouring(stream) == chi
+
+
+def _traced(f, *args):
+    """f(*args) and tracemalloc's peak while it runs."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_files_stream_through_save_and_load(tmp_path):
+    chi = gen_k_bounded(1000, 50, 1)
+    path = tmp_path / "k1000.col"
+    with open(path, "w", encoding="utf-8") as out:
+        # the document is 6.3 MB
+        assert _traced(save_colouring, chi, out)[1] < 2**20
+    table_bytes = len(chi.table) * chi.table.itemsize
+    with open(path, encoding="utf-8") as handle:
+        loaded, peak = _traced(load_colouring, handle)
+    assert peak < table_bytes + 3 * 2**20
+    assert loaded == chi
