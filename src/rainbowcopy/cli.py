@@ -26,6 +26,7 @@ from .colouring import (
     save_colouring,
 )
 from .errors import CapacityError, DomainError, FormatError
+from .events import cherry_rates
 from .graph import cherry_stats, complete_graph, cycle_graph, load_graph, path_graph
 from .oracle import exists_copy
 from .sampler import find_copy
@@ -61,7 +62,7 @@ def _print_json(document: dict) -> None:
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     stats = cherry_stats(g)
-    p = Fraction(stats.total_cherries, g.n_vertices)
+    q, p = cherry_rates(stats, g.n_vertices)
     _print_json(
         {
             "n": g.n_vertices,
@@ -70,7 +71,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "total_cherries": stats.total_cherries,
             "p": str(p),
             "p_approx": float(p),
-            "q": stats.max_cherries_per_vertex,
+            "q": q,
         }
     )
     return 0
@@ -288,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, DomainError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
 

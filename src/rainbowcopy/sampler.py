@@ -15,16 +15,19 @@ statements certified by the lll module.
 
 Violations are tracked incrementally in an index keyed by ints (the image
 colour, or colour and endpoint in proper mode) whose members are graph
-edge ids, so one resample costs time proportional to the degrees of the
-touched vertices rather than to the number of edge pairs.  The index keeps
-each bad key's two smallest members, so the smallest violating pair is a
-minimum over the bad keys rather than a sort of all pairs.  Image colours
-are read straight from the colouring's flat table.
+edge ids.  A step first applies all its swaps and then re-files the union
+of the edges incident to the swapped graph positions once, skipping edges
+whose keys are unchanged, so one resample costs time proportional to the
+degrees of the touched vertices rather than to the number of edge pairs.
+The index keeps each bad key's two smallest members, so the smallest
+violating pair is a minimum over the bad keys rather than a sort of all
+pairs.  Image colours are read straight from the colouring's flat table.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring, row_offsets
@@ -157,58 +160,63 @@ class _ViolationIndex:
     in proper mode; a key is bad once two edges share it.  front maps each
     bad key to the code first * |E(G)| + second of its two smallest
     members, so the smallest code over front is the smallest violating
-    pair.  keys_at remembers the keys each edge is filed under, so removing
-    an edge needs no colour lookup.
+    pair.  keys_at remembers the keys each edge is filed under, so taking
+    an edge out needs no colour lookup.  The state is a function of the
+    image alone, whatever order the edges were filed in.
     """
 
-    def __init__(self, mode: str, edges: list[tuple[int, int]], g_size: int):
+    def __init__(self, mode: str, edges: list[tuple[int, int]], g_size: int,
+                 colouring: EdgeColouring):
         self.proper = mode == "proper"
         self.edges = edges
         self.g_size = g_size
         self.m = len(edges)
+        self.table, self.off = colouring.table, row_offsets(colouring.n)
         self.keys_at: list[tuple[int, ...]] = [()] * self.m
         self.classes: dict[int, set[int]] = {}
         self.front: dict[int, int] = {}
 
-    def add(self, e: int, colour: int) -> None:
-        if self.proper:
-            u, v = self.edges[e]
-            base = colour * self.g_size
-            keys = (base + u, base + v)
-        else:
-            keys = (colour,)
-        self.keys_at[e] = keys
-        m, front = self.m, self.front
-        for key in keys:
-            members = self.classes.get(key)
-            if members is None:
-                self.classes[key] = {e}
+    def move(self, touched: Iterable[int], img: list[int]) -> None:
+        """Re-files each touched edge under its keys at the image img,
+        skipping edges whose keys are unchanged.  Every edge whose image
+        colour changed since the last call must be among the touched."""
+        proper, edges, g_size, m = self.proper, self.edges, self.g_size, self.m
+        table, off = self.table, self.off
+        keys_at, classes, front = self.keys_at, self.classes, self.front
+        for e in touched:
+            u, v = edges[e]
+            x, y = img[u], img[v]
+            colour = table[off[x] + y] if x < y else table[off[y] + x]
+            keys = (colour * g_size + u, colour * g_size + v) if proper else (colour,)
+            if keys == keys_at[e]:
                 continue
-            members.add(e)
-            code = front.get(key)
-            if code is None:  # the class has just become bad
-                a, b = sorted(members)
-            else:
-                a, b = divmod(code, m)
-                if e > b:
+            for key in keys_at[e]:
+                members = classes[key]
+                members.remove(e)
+                if not members:
+                    del classes[key]
+                elif len(members) == 1:  # the class is no longer bad
+                    del front[key]
+                else:
+                    a, b = divmod(front[key], m)
+                    if e == a or e == b:
+                        a, b = sorted(members)[:2]
+                        front[key] = a * m + b
+            keys_at[e] = keys
+            for key in keys:
+                members = classes.get(key)
+                if members is None:
+                    classes[key] = {e}
                     continue
-                a, b = (e, a) if e < a else (a, e)
-            front[key] = a * m + b
-
-    def remove(self, e: int) -> None:
-        m, front = self.m, self.front
-        for key in self.keys_at[e]:
-            members = self.classes[key]
-            members.remove(e)
-            if not members:
-                del self.classes[key]
-                continue
-            if len(members) == 1:  # the class is no longer bad
-                del front[key]
-                continue
-            a, b = divmod(front[key], m)
-            if e == a or e == b:
-                a, b = sorted(members)[:2]
+                members.add(e)
+                code = front.get(key)
+                if code is None:  # the class has just become bad
+                    a, b = sorted(members)
+                else:
+                    a, b = divmod(code, m)
+                    if e > b:
+                        continue
+                    a, b = (e, a) if e < a else (a, e)
                 front[key] = a * m + b
 
     def smallest_pair(self) -> tuple[int, int]:
@@ -234,10 +242,11 @@ def find_copy(
     swapped with a uniformly random one of all n positions of the injection
     padded to a full permutation of the K_n vertices, positions already
     swapped in the same step included, so one step is not uniform (see the
-    module docstring).  Each loop iteration counts as one resample; the run
-    fails once max_resamples iterations have been spent (default
-    1000 * |E|^2; a negative budget is a DomainError).  Deterministic given
-    the seed.
+    module docstring); then the index re-files the union of the edges at the
+    swapped graph positions once, skipping edges whose keys are unchanged.
+    Each loop iteration counts as one resample; the run fails once
+    max_resamples iterations have been spent (default 1000 * |E|^2; a
+    negative budget is a DomainError).  Deterministic given the seed.
     """
     if mode not in ("proper", "rainbow"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -252,31 +261,13 @@ def find_copy(
     rng = random.Random(seed)
     prefix = rng.sample(range(n), g_size)
     img = prefix + sorted(set(range(n)) - set(prefix))
-    table, off = colouring.table, row_offsets(n)
     edges = g.sorted_edges()
     incident: list[list[int]] = [[] for _ in range(g_size)]
     for e, (u, v) in enumerate(edges):
         incident[u].append(e)
         incident[v].append(e)
-
-    def image_colour(e: int) -> int:
-        u, v = edges[e]
-        a, b = img[u], img[v]
-        return table[off[a] + b] if a < b else table[off[b] + a]
-
-    index = _ViolationIndex(mode, edges, g_size)
-    for e in range(len(edges)):
-        index.add(e, image_colour(e))
-
-    def resample_vertex(v: int) -> None:
-        # graph vertices occupy the first g_size positions of img
-        j = rng.randrange(n)
-        touched = incident[v] if j >= g_size or j == v else {*incident[v], *incident[j]}
-        for e in touched:
-            index.remove(e)
-        img[v], img[j] = img[j], img[v]
-        for e in touched:
-            index.add(e, image_colour(e))
+    index = _ViolationIndex(mode, edges, g_size, colouring)
+    index.move(range(len(edges)), img)
 
     resamples = 0
     while True:
@@ -288,6 +279,13 @@ def find_copy(
         if resamples >= max_resamples:
             return FindResult(None, False, resamples, index.pair_count())
         first, second = index.smallest_pair()
+        touched: set[int] = set()
         for v in sorted({*edges[first], *edges[second]}):
-            resample_vertex(v)
+            # graph vertices occupy the first g_size positions of img
+            j = rng.randrange(n)
+            img[v], img[j] = img[j], img[v]
+            touched.update(incident[v])
+            if j < g_size:
+                touched.update(incident[j])
+        index.move(touched, img)
         resamples += 1

@@ -211,6 +211,20 @@ class TestGenFindOracle:
             assert code == 2
             assert "line 3: colour 2147483648 exceeds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["graph", "colouring"])
+    def test_non_utf8_file_exit_2(self, bad, tmp_path, capsys):
+        files = {"graph": b"n 3\n0 1\n1 2\n", "colouring": b"n 3\n0 1 0\n0 2 1\n1 2 2\n"}
+        files[bad] = files[bad].replace(b"1 2", b"1 \xff", 1)
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        for command in ("find", "oracle"):
+            code = main([command, "--graph", str(tmp_path / "graph"),
+                         "--colouring", str(tmp_path / "colouring"), "--mode", "proper"]
+                        + (["--seed", "0"] if command == "find" else []))
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: UnicodeDecodeError")
+
     def test_gen_then_find_proper_c6(self, tmp_path, capsys):
         col = tmp_path / "k6.col"
         assert main(["gen", "--n", "6", "--k", "2", "--mode", "local", "--seed", "1",

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from collections import Counter
 from itertools import combinations
@@ -176,11 +177,50 @@ def test_transcripts_are_pinned(mode, selection, seed):
         SAMPLER_PINS[mode, selection, seed]
 
 
-class _CheckedIndex(sampler._ViolationIndex):
+# sha256 over find_copy(...).to_json() of 300 seeded tiny instances (n 4-8,
+# palettes of 1-4 colours, both modes, a budget of 120), one JSON line each.
+# Captured while every swap of a step still re-filed its own edges; these
+# dense instances often touch one edge twice in a step or leave its key
+# unchanged, which the C_400 pins above rarely do.
+SMALL_PINS_SHA256 = "77a7b4c7938a1dab567628779e805b3a7dde87ad1d357963db63990df0ac157e"
+
+
+def test_small_instance_transcripts_are_pinned():
+    rng = random.Random(89)
+    digest = hashlib.sha256()
+    for _ in range(150):
+        n = rng.randint(4, 8)
+        g = random_graph(rng, rng.randint(3, n), edge_prob=0.6)
+        chi = random_colouring(rng, n, rng.randint(1, 4))
+        for mode in ("proper", "rainbow"):
+            result = find_copy(g, chi, mode, seed=rng.randrange(10**6), max_resamples=120)
+            digest.update(json.dumps(result.to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == SMALL_PINS_SHA256
+
+
+_Index = sampler._ViolationIndex
+
+
+class _CheckedIndex(_Index):
     """Compares the incrementally kept minimum with a full recomputation
-    every time find_copy asks for it."""
+    every time find_copy asks for it, and the whole index with one built
+    afresh over the current image after every update."""
 
     calls = 0
+    moves = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.args = args
+
+    def move(self, touched, img):
+        super().move(touched, img)
+        fresh = _Index(*self.args)
+        fresh.move(range(self.m), img)
+        assert self.classes == fresh.classes
+        assert self.front == fresh.front
+        assert self.keys_at == fresh.keys_at
+        type(self).moves += 1
 
     def all_pairs(self):
         pairs = set()
@@ -200,8 +240,8 @@ class _CheckedIndex(sampler._ViolationIndex):
 def test_incremental_minimum_matches_all_pairs(monkeypatch):
     monkeypatch.setattr(sampler, "_ViolationIndex", _CheckedIndex)
     rng = random.Random(71)
-    # the first three spend their budget, so the minimum is asked for after
-    # many adds and removes
+    # the first three spend their budget, so the index is checked after
+    # many updates
     runs = [(cycle_graph(60), gen_k_bounded(60, 12, 1), "rainbow"),
             (cycle_graph(60), gen_locally_k_bounded(60, 36, 1), "proper"),
             (path_graph(3), constant_colouring(3), "proper")]
@@ -212,4 +252,4 @@ def test_incremental_minimum_matches_all_pairs(monkeypatch):
     for g, chi, mode in runs:
         result = find_copy(g, chi, mode, seed=rng.randrange(10**6), max_resamples=300)
         assert result.success or result.resamples == 300
-    assert _CheckedIndex.calls > 1000
+    assert _CheckedIndex.calls > 1000 and _CheckedIndex.moves > 1000
