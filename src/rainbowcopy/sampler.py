@@ -1,17 +1,17 @@
 """Randomized search for properly coloured or rainbow copies.
 
 The sampler draws a uniform random injection of the target graph into K_n
-and repeatedly repairs it: while some pair of graph edges violates the
-colour constraint, the images of the vertices spanning the (canonically
-smallest) violating pair are resampled by swapping them with uniformly
-random positions of the injection extended to a full permutation of the
-K_n vertices.  Each swap draws its position from all n positions, including
-positions already swapped in the same step, so one step from a uniform
-injection conditioned on an event is not uniform: on n = 5 with P_3 the 60
-injections get probabilities from 1/125 to 1/25 (exact enumeration).  The
-step is therefore not yet the resampling oracle of the algorithmic local
-lemma.  The loop is the constructive counterpart of the existence
-statements certified by the lll module.
+and repairs it: while some pair of graph edges violates the colour
+constraint, it draws a violated colour key uniformly and resamples the
+vertices spanning its two smallest edges.  The injection is the prefix of a
+permutation of the K_n vertices, and a step is the Swapping Algorithm of
+Harris and Srinivasan: the i-th resampled vertex swaps its image with a
+uniformly random one of the n - i positions not resampled before it.  From
+a uniform injection conditioned on the resampled event, one step gives the
+uniform injection, and every event it makes true shares a graph or an image
+vertex with the resampled one, so the step is a resampling oracle for the
+intersection graph the lll module certifies with (the tests check both
+exactly on small n).
 
 Violations are tracked incrementally in an index keyed by ints (the image
 colour, or colour and endpoint in proper mode) whose members are graph
@@ -19,9 +19,7 @@ edge ids.  A step first applies all its swaps and then re-files the union
 of the edges incident to the swapped graph positions once, skipping edges
 whose keys are unchanged, so one resample costs time proportional to the
 degrees of the touched vertices rather than to the number of edge pairs.
-The index keeps each bad key's two smallest members, so the smallest
-violating pair is a minimum over the bad keys rather than a sort of all
-pairs.  Image colours are read straight from the colouring's flat table.
+Image colours are read straight from the colouring's flat table.
 """
 
 from __future__ import annotations
@@ -120,6 +118,8 @@ def violated_events(
     if mode not in ("proper", "rainbow"):
         raise DomainError(f"unknown mode {mode!r}")
     img = embedding.image_of
+    if len(img) != g.n_vertices:
+        raise DomainError("embedding size does not match the graph")
     edges = g.sorted_edges()
     colours = [colouring.colour(img[u], img[v]) for u, v in edges]
     out = []
@@ -155,14 +155,12 @@ class FindResult:
 class _ViolationIndex:
     """Incremental bookkeeping of violating edge pairs, keyed by ints.
 
-    Members are edge ids into g.sorted_edges(), so id order is edge order.
-    A key is the image colour in rainbow mode and colour * |V(G)| + endpoint
-    in proper mode; a key is bad once two edges share it.  front maps each
-    bad key to the code first * |E(G)| + second of its two smallest
-    members, so the smallest code over front is the smallest violating
-    pair.  keys_at remembers the keys each edge is filed under, so taking
-    an edge out needs no colour lookup.  The state is a function of the
-    image alone, whatever order the edges were filed in.
+    Members are edge ids into g.sorted_edges().  A key is the image colour
+    in rainbow mode and colour * |V(G)| + endpoint in proper mode; a key is
+    bad once two edges share it, and bad holds exactly the bad keys.
+    keys_at remembers the keys each edge is filed under, so taking an edge
+    out needs no colour lookup.  The state is a function of the image
+    alone, whatever order the edges were filed in.
     """
 
     def __init__(self, mode: str, edges: list[tuple[int, int]], g_size: int,
@@ -170,19 +168,18 @@ class _ViolationIndex:
         self.proper = mode == "proper"
         self.edges = edges
         self.g_size = g_size
-        self.m = len(edges)
         self.table, self.off = colouring.table, row_offsets(colouring.n)
-        self.keys_at: list[tuple[int, ...]] = [()] * self.m
+        self.keys_at: list[tuple[int, ...]] = [()] * len(edges)
         self.classes: dict[int, set[int]] = {}
-        self.front: dict[int, int] = {}
+        self.bad: set[int] = set()
 
     def move(self, touched: Iterable[int], img: list[int]) -> None:
         """Re-files each touched edge under its keys at the image img,
         skipping edges whose keys are unchanged.  Every edge whose image
         colour changed since the last call must be among the touched."""
-        proper, edges, g_size, m = self.proper, self.edges, self.g_size, self.m
+        proper, edges, g_size = self.proper, self.edges, self.g_size
         table, off = self.table, self.off
-        keys_at, classes, front = self.keys_at, self.classes, self.front
+        keys_at, classes, bad = self.keys_at, self.classes, self.bad
         for e in touched:
             u, v = edges[e]
             x, y = img[u], img[v]
@@ -195,35 +192,43 @@ class _ViolationIndex:
                 members.remove(e)
                 if not members:
                     del classes[key]
-                elif len(members) == 1:  # the class is no longer bad
-                    del front[key]
-                else:
-                    a, b = divmod(front[key], m)
-                    if e == a or e == b:
-                        a, b = sorted(members)[:2]
-                        front[key] = a * m + b
+                elif len(members) == 1:
+                    bad.remove(key)
             keys_at[e] = keys
             for key in keys:
                 members = classes.get(key)
                 if members is None:
                     classes[key] = {e}
-                    continue
-                members.add(e)
-                code = front.get(key)
-                if code is None:  # the class has just become bad
-                    a, b = sorted(members)
                 else:
-                    a, b = divmod(code, m)
-                    if e > b:
-                        continue
-                    a, b = (e, a) if e < a else (a, e)
-                front[key] = a * m + b
+                    members.add(e)
+                    if len(members) == 2:
+                        bad.add(key)
 
-    def smallest_pair(self) -> tuple[int, int]:
-        return divmod(min(self.front.values()), self.m)
+    def draw(self, rng: random.Random) -> list[int]:
+        """The two smallest members of a bad key drawn uniformly, by its rank
+        among the sorted bad keys, so the draw depends on the image alone."""
+        key = sorted(self.bad)[rng.randrange(len(self.bad))]
+        return sorted(self.classes[key])[:2]
 
     def pair_count(self) -> int:
-        return sum(len(self.classes[key]) * (len(self.classes[key]) - 1) // 2 for key in self.front)
+        return sum(len(self.classes[key]) * (len(self.classes[key]) - 1) // 2 for key in self.bad)
+
+
+def _swap(img: list[int], vertices: list[int], rng: random.Random) -> list[int]:
+    """One Swapping Algorithm step on the permutation img: the i-th of the
+    ascending positions vertices swaps with a uniform one of the len(img) - i
+    positions not among the vertices before it.  Returns the partners."""
+    partners = []
+    n = len(img)
+    for v in vertices:
+        j = rng.randrange(n - len(partners))
+        for w in vertices:  # the j-th position not among the vertices before v
+            if w >= v or j < w:
+                break
+            j += 1
+        img[v], img[j] = img[j], img[v]
+        partners.append(j)
+    return partners
 
 
 def find_copy(
@@ -236,17 +241,14 @@ def find_copy(
 ) -> FindResult:
     """Search for a valid embedding by swap resampling.
 
-    Draws the seed's random injection and loops: with no violating pair the
-    embedding is re-verified independently and returned; otherwise the
-    smallest violating pair's 3-4 graph vertices each have their image
-    swapped with a uniformly random one of all n positions of the injection
-    padded to a full permutation of the K_n vertices, positions already
-    swapped in the same step included, so one step is not uniform (see the
-    module docstring); then the index re-files the union of the edges at the
-    swapped graph positions once, skipping edges whose keys are unchanged.
-    Each loop iteration counts as one resample; the run fails once
-    max_resamples iterations have been spent (default 1000 * |E|^2; a
-    negative budget is a DomainError).  Deterministic given the seed.
+    Draws the seed's random injection and, while some pair of edges
+    violates, spends one resample: the index draws a bad key uniformly, the
+    3-4 graph vertices of its two smallest edges take one Swapping Algorithm
+    step (see the module docstring), and the index re-files the edges at the
+    swapped graph positions.  With no violating pair left the embedding is
+    re-verified independently and returned.  The run fails once
+    max_resamples have been spent (default 1000 * |E|^2; a negative budget
+    is a DomainError).  Deterministic given the seed.
     """
     if mode not in ("proper", "rainbow"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -270,22 +272,19 @@ def find_copy(
     index.move(range(len(edges)), img)
 
     resamples = 0
-    while True:
-        if not index.front:
-            embedding = Embedding(tuple(img[:g_size]), mode)
-            if not is_valid_embedding(embedding, g, colouring, mode):
-                raise RuntimeError("internal error: bookkeeping and validity disagree")
-            return FindResult(embedding, True, resamples, 0)
+    while index.bad:
         if resamples >= max_resamples:
             return FindResult(None, False, resamples, index.pair_count())
-        first, second = index.smallest_pair()
+        first, second = index.draw(rng)
+        vertices = sorted({*edges[first], *edges[second]})
         touched: set[int] = set()
-        for v in sorted({*edges[first], *edges[second]}):
-            # graph vertices occupy the first g_size positions of img
-            j = rng.randrange(n)
-            img[v], img[j] = img[j], img[v]
-            touched.update(incident[v])
-            if j < g_size:
-                touched.update(incident[j])
+        # graph vertices occupy the first g_size positions of img
+        for p in vertices + _swap(img, vertices, rng):
+            if p < g_size:
+                touched.update(incident[p])
         index.move(touched, img)
         resamples += 1
+    embedding = Embedding(tuple(img[:g_size]), mode)
+    if not is_valid_embedding(embedding, g, colouring, mode):
+        raise RuntimeError("internal error: bookkeeping and validity disagree")
+    return FindResult(embedding, True, resamples, 0)

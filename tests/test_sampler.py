@@ -2,7 +2,8 @@ import hashlib
 import json
 import random
 from collections import Counter
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -15,9 +16,11 @@ from rainbowcopy import (
     constant_colouring,
     cycle_graph,
     distinct_colouring,
+    enumerate_bad_events,
     find_copy,
     gen_k_bounded,
     gen_locally_k_bounded,
+    intersection_graph,
     is_valid_embedding,
     path_graph,
     random_injection,
@@ -26,6 +29,7 @@ from rainbowcopy import (
 from rainbowcopy import sampler
 
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+TWO_P3 = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
 # colours of the K_4 edges 01, 02, 03, 12, 13, 23 (lexicographic order)
 ONE_MONO_DISJOINT = EdgeColouring(4, [0, 1, 2, 3, 4, 0])
 
@@ -76,6 +80,13 @@ class TestViolatedEvents:
         pairs = violated_events(emb, cycle_graph(4), constant_colouring(4), "rainbow")
         assert pairs == sorted(pairs)
         assert len(pairs) == 6  # all pairs of the 4 cycle edges
+
+    @pytest.mark.parametrize("image_of", [(0, 1), (0, 1, 2, 3)])
+    def test_size_mismatch_rejected(self, image_of):
+        emb = Embedding(image_of)
+        for check in (is_valid_embedding, violated_events):
+            with pytest.raises(DomainError, match="size"):
+                check(emb, path_graph(3), distinct_colouring(5), "proper")
 
 
 class TestFindCopy:
@@ -155,34 +166,31 @@ class TestAgreement:
 
 
 # (success, resamples, final_violations, sha256(repr(image_of))[:16]) of
-# find_copy on C_400 with max_resamples=4000.  The values have held since
-# the colouring was a dict and the sampler scanned every pair, so they pin
-# the swap step and the smallest-pair rule; any change to either re-derives
-# them.
+# find_copy on C_400 with max_resamples=4000; they pin the swap step and the
+# bad-key draw, and any change to either re-derives them.
 SAMPLER_PINS = {
-    ("rainbow", "smallest", 2): (True, 2066, 0, "6928892f154c3c66"),
-    ("rainbow", "smallest", 3): (True, 1428, 0, "9cc43d6ca49d4fa0"),
-    ("proper", "smallest", 2): (False, 4000, 10, None),
-    ("proper", "smallest", 3): (False, 4000, 13, None),
+    ("rainbow", 2): (False, 4000, 10, None),
+    ("rainbow", 3): (False, 4000, 18, None),
+    ("proper", 2): (True, 1747, 0, "bd5426996ef6ea26"),
+    ("proper", 3): (False, 4000, 9, None),
 }
 
 
-@pytest.mark.parametrize("mode, selection, seed", sorted(SAMPLER_PINS))
-def test_transcripts_are_pinned(mode, selection, seed):
+@pytest.mark.parametrize("mode, seed", sorted(SAMPLER_PINS))
+def test_transcripts_are_pinned(mode, seed):
     gen, k = (gen_k_bounded, 27) if mode == "rainbow" else (gen_locally_k_bounded, 45)
     result = find_copy(cycle_graph(400), gen(400, k, 1), mode, seed=seed, max_resamples=4000)
     image = result.embedding.image_of if result.embedding else None
     digest = hashlib.sha256(repr(image).encode()).hexdigest()[:16] if image else None
     assert (result.success, result.resamples, result.final_violations, digest) == \
-        SAMPLER_PINS[mode, selection, seed]
+        SAMPLER_PINS[mode, seed]
 
 
 # sha256 over find_copy(...).to_json() of 300 seeded tiny instances (n 4-8,
 # palettes of 1-4 colours, both modes, a budget of 120), one JSON line each.
-# Captured while every swap of a step still re-filed its own edges; these
-# dense instances often touch one edge twice in a step or leave its key
-# unchanged, which the C_400 pins above rarely do.
-SMALL_PINS_SHA256 = "77a7b4c7938a1dab567628779e805b3a7dde87ad1d357963db63990df0ac157e"
+# These dense instances often touch one edge twice in a step or leave its
+# key unchanged, which the C_400 pins above rarely do.
+SMALL_PINS_SHA256 = "805aea3b43bd12229a42390fed8451c3326e780c35aa33dc866402671c5f3d35"
 
 
 def test_small_instance_transcripts_are_pinned():
@@ -202,9 +210,9 @@ _Index = sampler._ViolationIndex
 
 
 class _CheckedIndex(_Index):
-    """Compares the incrementally kept minimum with a full recomputation
-    every time find_copy asks for it, and the whole index with one built
-    afresh over the current image after every update."""
+    """Compares the whole index with one built afresh over the current image
+    after every update, and checks every pair find_copy draws against a
+    full recomputation of the violating pairs."""
 
     calls = 0
     moves = 0
@@ -216,22 +224,23 @@ class _CheckedIndex(_Index):
     def move(self, touched, img):
         super().move(touched, img)
         fresh = _Index(*self.args)
-        fresh.move(range(self.m), img)
+        fresh.move(range(len(self.edges)), img)
         assert self.classes == fresh.classes
-        assert self.front == fresh.front
+        assert self.bad == fresh.bad
         assert self.keys_at == fresh.keys_at
         type(self).moves += 1
 
     def all_pairs(self):
         pairs = set()
-        for key in self.front:
-            pairs.update(combinations(sorted(self.classes[key]), 2))
-        return sorted(pairs)
+        for members in self.classes.values():
+            pairs.update(combinations(sorted(members), 2))
+        return pairs
 
-    def smallest_pair(self):
-        pair = super().smallest_pair()
+    def draw(self, rng):
+        first, second = pair = super().draw(rng)
+        assert first < second and set(self.keys_at[first]) & set(self.keys_at[second])
         pairs = self.all_pairs()
-        assert pair == pairs[0]
+        assert tuple(pair) in pairs
         assert self.pair_count() == len(pairs)
         type(self).calls += 1
         return pair
@@ -253,3 +262,72 @@ def test_incremental_minimum_matches_all_pairs(monkeypatch):
         result = find_copy(g, chi, mode, seed=rng.randrange(10**6), max_resamples=300)
         assert result.success or result.resamples == 300
     assert _CheckedIndex.calls > 1000 and _CheckedIndex.moves > 1000
+
+
+class _Scripted:
+    """Stands in for random.Random in sampler._swap: randrange(k) records k
+    and returns the next scripted value."""
+
+    def __init__(self, values):
+        self.values = values
+        self.ranges = []
+
+    def randrange(self, k):
+        self.ranges.append(k)
+        return self.values[len(self.ranges) - 1]
+
+
+def step_outcomes(start, vertices, n):
+    """The injection after one sampler._swap step from the injection start
+    (padded by its sorted complement), once per draw sequence; the i-th
+    draw is uniform over n - i values, so the sequences are equally likely."""
+    ranges = [n - i for i in range(len(vertices))]
+    for script in product(*map(range, ranges)):
+        rng = _Scripted(script)
+        img = list(start) + sorted(set(range(n)) - set(start))
+        sampler._swap(img, vertices, rng)
+        assert rng.ranges == ranges
+        yield tuple(img[:len(start)])
+
+
+# P_3 has one intersecting event shape (3 vertices), 2K_2 one disjoint shape
+# (4 vertices) and P_4 both; in 2P_3 two events can share no graph vertex,
+# so adjacency there has to come from the image side.
+INTERSECTING, BOTH = {"intersecting"}, {"intersecting", "disjoint"}
+
+
+@pytest.mark.parametrize("g, n, mode, shapes", [
+    (path_graph(3), 5, "proper", INTERSECTING), (path_graph(3), 5, "rainbow", INTERSECTING),
+    (TWO_K2, 6, "rainbow", {"disjoint"}), (path_graph(4), 5, "proper", INTERSECTING),
+    (path_graph(4), 5, "rainbow", BOTH), (TWO_P3, 6, "proper", INTERSECTING),
+], ids=["P3-proper", "P3-rainbow", "2K2-rainbow", "P4-proper", "P4-rainbow", "2P3-proper"])
+def test_swap_step_is_a_resampling_oracle(g, n, mode, shapes):
+    """Exactly, for every bad event B of a two-colour instance: (a) one step
+    resampling B's support from the uniform injection conditioned on B gives
+    the uniform injection; (b) every bad event the step turns from false to
+    true is adjacent to B in events.intersection_graph."""
+    events = enumerate_bad_events(g, random_colouring(random.Random(n), n, 2), mode)
+    adjacency = intersection_graph(events).adjacency
+    index_of = {(ev.e_pair, ev.f_pair, ev.a_pair, ev.b_pair): i for i, ev in enumerate(events)}
+    pairs = list(combinations(g.sorted_edges(), 2))
+
+    def true_events(inj):
+        keys = ((e, f, (inj[e[0]], inj[e[1]]), (inj[f[0]], inj[f[1]])) for e, f in pairs)
+        return {index_of[key] for key in keys if key in index_of}
+
+    injections = list(permutations(range(n), g.n_vertices))
+    assert {ev.type_tag for ev in events} == shapes
+    for b, event in enumerate(events):
+        pinned = event.partial_map()
+        outcomes = Counter()
+        for start in injections:
+            if any(start[v] != x for v, x in pinned.items()):
+                continue
+            before = true_events(start)
+            assert b in before
+            for image in step_outcomes(start, sorted(pinned), n):
+                outcomes[image] += 1
+                assert all(c in adjacency[b] for c in true_events(image) - before)
+        total = sum(outcomes.values())
+        assert len(outcomes) == len(injections)
+        assert {Fraction(count, total) for count in outcomes.values()} == {Fraction(1, len(injections))}
