@@ -288,17 +288,21 @@ def _log1p_sum_exp(exponents: list[float]) -> float:
     return top + math.log(total)
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple:
     """Golden-section search for the maximum of a concave f on [lo, hi].
 
-    Returns (value, x).  A bound is returned exactly when no interior probe
-    beats it, so an optimum at the edge of the box lands on the edge.
+    f returns a tuple whose first entry is the value; the search compares
+    on that entry, probes each point once (about 55 probes on the weight
+    box) and returns the best probe's whole tuple.  Ties go to f(lo), then
+    f(hi), then the interior, so a bound is returned exactly when no
+    interior probe beats it, and an optimum at the edge of the box lands on
+    the edge.
     """
     a, b = lo, hi
     c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     while b - a > _LOG_TOL:
-        if fc < fd:
+        if fc[0] < fd[0]:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
             fd = f(d)
@@ -306,8 +310,8 @@ def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)
             fc = f(c)
-    interior = (fc, c) if fc >= fd else (fd, d)
-    return max((f(lo), lo), (f(hi), hi), interior, key=lambda vx: vx[0])
+    interior = fc if fc[0] >= fd[0] else fd
+    return max(f(lo), f(hi), interior, key=lambda probe: probe[0])
 
 
 def optimize_mu(p_by_class, clique_profile):
@@ -319,31 +323,42 @@ def optimize_mu(p_by_class, clique_profile):
     minimum over the types is concave, and so is its maximum over some
     coordinates.  So one golden-section search over [log MU_LO, log MU_HI]
     per weight finds the optimum, each probe scored by the best margin over
-    the later weights (mu_dis inside mu_int).  The search evaluates float
-    logs of the terms of check_cluster_clique; the returned certificate is
-    that exact check at the point found.  An optimum on the edge of the box
-    is returned as the exact bound.  When the optimum lies below MU_LO, as
-    for the rainbow form at large n, the certificate fails although the
-    reference weights may hold.
+    the later weights (mu_dis inside mu_int).  At about 55 probes per
+    weight, that is about 55 margin evaluations for one weight and about
+    3000 for two; an evaluation scores each distinct clique once, although
+    the rainbow form lists each of its two cliques under both types.  The
+    search evaluates float logs of the terms of check_cluster_clique; the
+    returned certificate is that exact check at the point found.  An
+    optimum on the edge of the box is returned as the exact bound.  When
+    the optimum lies below MU_LO, as for the rainbow form at large n, the
+    certificate fails although the reference weights may hold.
 
     Returns (cert.parameters, cert); the certificate fails (margin < 1)
     when no feasible point exists.
     """
     terms = _clique_terms(p_by_class, clique_profile)
     axis = {t: i for i, t in enumerate(terms)}
+    # each distinct clique, as its (axis, log bound) pairs, is one shape,
+    # scored once per point however many types list it
+    shapes: dict[tuple, int] = {}
+
+    def shape_of(bounds) -> int:
+        key = tuple((axis[t], _log(b)) for t, b in bounds.items() if b)
+        return shapes.setdefault(key, len(shapes))
+
     log_terms = [
-        (axis[s], _log(p), [(count, [(axis[t], _log(b)) for t, b in bounds.items() if b])
-                            for count, bounds in cliques])
+        (axis[s], _log(p), [(count, shape_of(bounds)) for count, bounds in cliques])
         for s, (p, cliques) in terms.items()
         if p
     ]
 
     def log_margin(x: list[float]) -> float:
+        scores = [_log1p_sum_exp([x[t] + log_b for t, log_b in shape]) for shape in shapes]
         worst = math.inf
         for s, log_p, cliques in log_terms:
             value = x[s] - log_p
-            for count, bounds in cliques:
-                value -= count * _log1p_sum_exp([x[t] + log_b for t, log_b in bounds])
+            for count, i in cliques:
+                value -= count * scores[i]
             worst = min(worst, value)
         return worst
 
@@ -353,8 +368,7 @@ def optimize_mu(p_by_class, clique_profile):
         """The best log margin over the coordinates after fixed, and its point."""
         if len(fixed) == len(axis):
             return log_margin(fixed), fixed
-        _, x = _golden_max(lambda t: search([*fixed, t])[0], lo, hi)
-        return search([*fixed, x])
+        return _golden_max(lambda t: search([*fixed, t]), lo, hi)
 
     # interior probes lie more than _LOG_TOL / 5 inside the box, far beyond
     # the rounding of exp, so their weights never leave it

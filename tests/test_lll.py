@@ -33,6 +33,7 @@ from rainbowcopy.events import (
     clique_cover_rainbow,
     proper_profile_from_rates,
 )
+from rainbowcopy import lll
 from rainbowcopy.lll import MU_HI, MU_LO
 
 
@@ -348,6 +349,57 @@ class TestOptimizeMu:
         assert not cert.holds
         assert set(params.values()) == {MU_LO}
 
+
+class TestGoldenMax:
+    lo, hi = lll._log(MU_LO), lll._log(MU_HI)
+
+    def run(self, value):
+        """_golden_max on the weight box with an f that records each probe
+        and returns (value, payload); returns (best, probes, results)."""
+        probes, results = [], []
+
+        def f(x):
+            probes.append(x)
+            results.append((value(x), ["payload", x]))
+            return results[-1]
+
+        return lll._golden_max(f, self.lo, self.hi), probes, results
+
+    def test_each_point_probed_once(self):
+        _, probes, _ = self.run(lambda x: -(x - 1.3) ** 2)
+        assert len(probes) == len(set(probes))
+
+    def test_returns_the_best_probes_own_tuple(self):
+        best, _, results = self.run(lambda x: -(x - 1.3) ** 2)
+        assert any(best is r for r in results)
+        assert best[0] == max(r[0] for r in results)
+        assert best[1] == ["payload", best[1][1]] and abs(best[1][1] - 1.3) < 1e-8
+
+    @pytest.mark.parametrize("slope, edge", [(1, "hi"), (-1, "lo"), (0, "lo")])
+    def test_monotone_f_returns_the_bound_itself(self, slope, edge):
+        best, _, _ = self.run(lambda x: slope * x)
+        assert best[1][1] == getattr(self, edge)
+
+    def test_probe_count_is_the_one_the_tolerance_implies(self):
+        # each step keeps _INV_PHI of the bracket until it is at most
+        # _LOG_TOL wide; two first interior probes, one per step, then lo and hi
+        steps = math.ceil(math.log(lll._LOG_TOL / (self.hi - self.lo)) / math.log(lll._INV_PHI))
+        _, probes, _ = self.run(lambda x: -(x - 1.3) ** 2)
+        assert len(probes) == 2 + steps + 2 == 55
+
+
+# Clique scorings (_log1p_sum_exp calls) of one search at n = 3000 on the
+# threshold cells: 55 probes per weight, each distinct clique scored once per
+# margin evaluation; rescoring per type or re-searching the chosen point
+# would give 12544 and 112.
+@pytest.mark.parametrize("theorem, delta, scorings", [("thm7", 1, 55 * 55 * 2), ("cor4", 2, 55)])
+def test_search_scores_each_distinct_clique_once_per_point(monkeypatch, theorem, delta, scorings):
+    calls = []
+    score = lll._log1p_sum_exp
+    monkeypatch.setattr(lll, "_log1p_sum_exp", lambda e: calls.append(e) or score(e))
+    cell = rainbow_cell if theorem == "thm7" else proper_cell
+    optimize_mu(*cell(3000, delta, threshold(theorem, 3000, delta=delta)))
+    assert len(calls) == scorings
 
 
 # Verdict and float margin of the earlier grid-scan search (100-bit scan,
