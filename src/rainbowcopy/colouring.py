@@ -23,17 +23,20 @@ or comment is still accepted, line by line.
 
 Two boundedness measures matter: the *global* bound (largest number of
 edges sharing one colour anywhere in K_n) and the *local* bound (largest
-number of equally coloured edges meeting at a single vertex).  Generators
-for both regimes are provided; the locally bounded one merges matchings of
-a round-robin 1-factorization, which makes the local bound tight by
-construction instead of by rejection.
+number of equally coloured edges meeting at a single vertex).  The edges
+at a vertex are its row of the table and its column; boundedness copies
+the columns into a buffer a block of 64 at a time, one strided slice per
+row above the block, so that each vertex's colours are two contiguous runs
+that one Counter counts.  Generators for both regimes are provided, and
+they build their tables in range without the constructor's scan; the
+locally bounded one merges matchings of a round-robin 1-factorization,
+which makes the local bound tight by construction instead of by rejection.
 """
 
 from __future__ import annotations
 
 import io
 import random
-import re
 from array import array
 from bisect import bisect_right
 from collections import Counter
@@ -65,8 +68,8 @@ MAX_VERTICES = 16_384
 COLOUR_MAX = 2**31 - 1
 # Characters per block that load_colouring parses at once (whole lines).
 _BLOCK_CHARS = 1 << 16
-# A block as save_colouring writes it: three unsigned integers a line.
-_CANONICAL_BLOCK = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+# Columns of the table that boundedness gathers at once.
+_COLUMN_BLOCK = 64
 
 
 def all_edges(n: int) -> Iterator[tuple[int, int]]:
@@ -152,15 +155,28 @@ class Boundedness(NamedTuple):
 
 
 def boundedness(colouring: EdgeColouring) -> Boundedness:
-    """Global and local boundedness measures of a colouring."""
+    """Global and local boundedness measures of a colouring.
+
+    The edges at u are its row (u, v > u), contiguous in the table, and its
+    column (w < u, u), one cell in each row above.  The columns are gathered
+    _COLUMN_BLOCK at a time: each row above a block copies its segment of
+    the block's columns into a buffer with one strided slice, which lays
+    every column of the block out contiguously.
+    """
     n, table = colouring.n, colouring.table
     off = row_offsets(n)
+    # buf[(u - a) * n + w] is the colour of (w, u), for u in the block from a on
+    buf = array("i", [0]) * (min(_COLUMN_BLOCK, n) * n)
     local_bound = 0
-    for u in range(n):
-        # the edges at u: its row (u, v > u), then its column (w < u, u)
-        at_u = Counter(table[off[u] + u + 1 : off[u] + n])
-        at_u.update(map(table.__getitem__, map(u.__add__, off[:u])))
-        local_bound = max(local_bound, max(at_u.values(), default=0))
+    for a in range(0, n, _COLUMN_BLOCK):
+        end = min(a + _COLUMN_BLOCK, n)
+        for w in range(end - 1):
+            first = max(a, w + 1)
+            buf[(first - a) * n + w : (end - a) * n : n] = table[off[w] + first : off[w] + end]
+        for u in range(a, end):
+            at_u = Counter(table[off[u] + u + 1 : off[u] + n])
+            at_u.update(buf[(u - a) * n : (u - a) * n + u])
+            local_bound = max(local_bound, max(at_u.values(), default=0))
     by_colour = Counter(table)
     return Boundedness(
         global_bound=max(by_colour.values(), default=0),
@@ -186,7 +202,7 @@ def gen_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
     for colour, start in enumerate(range(0, len(order), k)):
         for e in order[start : start + k]:
             table[e] = colour
-    return EdgeColouring(n, table)
+    return _checked_colouring(n, table)
 
 
 def gen_locally_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
@@ -219,7 +235,7 @@ def gen_locally_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
         table.extend(by_sum[2 * a + 1 : a + r])
         if r < n:
             table.append(colour_of_class[a])
-    return EdgeColouring(n, table)
+    return _checked_colouring(n, table)
 
 
 def constant_colouring(n: int, colour: int = 0) -> EdgeColouring:
@@ -230,8 +246,10 @@ def constant_colouring(n: int, colour: int = 0) -> EdgeColouring:
 
 def distinct_colouring(n: int) -> EdgeColouring:
     """All edges receive pairwise different colours."""
+    if n < 1:
+        raise DomainError(f"n must be positive, got {n}")
     _check_size(n)
-    return EdgeColouring(n, array("i", range(n * (n - 1) // 2)))
+    return _checked_colouring(n, array("i", range(n * (n - 1) // 2)))
 
 
 def save_colouring(colouring: EdgeColouring, out: TextIO | None = None) -> str | None:
@@ -256,6 +274,23 @@ def save_colouring(colouring: EdgeColouring, out: TextIO | None = None) -> str |
     return None
 
 
+def _canonical_grammar(block: str, tokens: list[str]) -> bool:
+    """Whether block, split into tokens, matches the grammar
+    (?:[0-9]+ [0-9]+ [0-9]+\\n)* of save_colouring's lines.
+
+    It does when it is ASCII, its characters other than digits are "  \\n"
+    once per line, it ends in a line break (or is empty) and it has three
+    tokens per line, so that no token is empty.
+    """
+    lines = block.count("\n")
+    return (
+        block.isascii()
+        and block[-1:] in ("", "\n")
+        and len(tokens) == 3 * lines
+        and block.encode().translate(None, b"0123456789") == b"  \n" * lines
+    )
+
+
 def _store_canonical(
     block: str, names: list[str], n: int, off: tuple[int, ...], table: array
 ) -> int:
@@ -267,9 +302,9 @@ def _store_canonical(
     fits the table.  Returns its number of lines, or 0 when it is anything
     else and the per-line parser has to read it.
     """
-    if not (block.isascii() and _CANONICAL_BLOCK.fullmatch(block)):
-        return 0
     tokens = block.split()
+    if not _canonical_grammar(block, tokens):
+        return 0
     count = len(tokens) // 3
     us, vs = tokens[0::3], tokens[1::3]
     try:

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import random
+import re
 import tempfile
 import time
 import tracemalloc
@@ -182,6 +183,11 @@ class TestEdgeColouring:
         with pytest.raises(FormatError):
             EdgeColouring(3, [0])
 
+    def test_no_colouring_without_vertices(self):
+        for build in (lambda n: EdgeColouring(n, []), constant_colouring, distinct_colouring):
+            with pytest.raises(DomainError):
+                build(0)
+
     def test_colour_values_checked(self):
         with pytest.raises(FormatError, match="negative colour -2 on edge \\(0, 2\\)"):
             EdgeColouring(3, [0, -2, 1])
@@ -256,6 +262,76 @@ def test_boundedness_matches_brute_force(n, n_colours, seed):
         default=0,
     )
     assert boundedness(chi) == (global_bound, local_bound, len(by_colour))
+
+
+# around the edges of boundedness's column blocks, with few colours (large
+# counts at a vertex) and many (nearly all counts 1)
+@pytest.mark.parametrize("n_colours", [3, 2**31 - 1])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 130])
+def test_boundedness_across_column_blocks(n, n_colours):
+    chi = random_colouring(random.Random(n * 31 + n_colours), n, n_colours)
+    by_colour = Counter(chi.colour(u, v) for u, v in all_edges(n))
+    local_bound = max(
+        max(Counter(chi.colour(x, y) for y in range(n) if y != x).values(), default=0)
+        for x in range(n)
+    )
+    assert boundedness(chi) == (max(by_colour.values(), default=0), local_bound, len(by_colour))
+
+
+# the grammar of save_colouring's lines as a regular expression, the
+# reference for colouring._canonical_grammar
+CANONICAL_BLOCK = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+
+_GRAMMAR_CHARS = "0123456789 \n\r\t+-\u0663"
+_DIGITS = st.text(alphabet="0123456789", max_size=3)
+_CANONICAL_LINE = st.builds("{} {} {}\n".format, *[_DIGITS.filter(bool)] * 3)
+# a line with empty tokens, double spaces, tabs, extra tokens, signs,
+# non-ASCII digits, CRLF or no line break
+_NEAR_LINE = st.builds(
+    "".join,
+    st.tuples(
+        _DIGITS, st.sampled_from([" ", "  ", "\t", ""]),
+        _DIGITS, st.sampled_from([" ", "  ", " \u0663"]),
+        _DIGITS, st.sampled_from(["", " ", " 7", "+"]),
+        st.sampled_from(["\n", "\r\n", ""]),
+    ),
+)
+
+
+@settings(max_examples=600, derandomize=True)
+@given(
+    st.one_of(
+        st.text(alphabet=_GRAMMAR_CHARS, max_size=24),
+        st.text(alphabet="7 \n", max_size=16),
+        # whole lines, then digits with no line break after them
+        st.builds(
+            str.__add__,
+            st.builds("".join, st.lists(st.one_of(_CANONICAL_LINE, _NEAR_LINE), max_size=4)),
+            _DIGITS,
+        ),
+    )
+)
+def test_canonical_grammar_agrees_with_the_regex(block):
+    expected = CANONICAL_BLOCK.fullmatch(block) is not None
+    assert colouring._canonical_grammar(block, block.split()) == expected
+
+
+def test_canonical_grammar_edge_cases():
+    for block, expected in [
+        ("", True),
+        ("0 1 2\n", True),
+        ("10 11 12\n3 4 5\n", True),
+        ("1  2\n3", False),  # an empty token and a trailing digit make three tokens
+        ("1 2 3\n4", False),
+        ("1 2 3", False),
+        (" 1 2\n", False),
+        ("1 2 3 \n", False),
+        ("1 2 3\r\n", False),
+        ("1 2 \u0663\n", False),
+        ("0 1 \udc80\n", False),  # a lone surrogate, which str.encode refuses
+    ]:
+        assert (CANONICAL_BLOCK.fullmatch(block) is not None) == expected, block
+        assert colouring._canonical_grammar(block, block.split()) == expected, block
 
 
 def _digest(text: str) -> str:
