@@ -5,11 +5,11 @@ edge, indexed by the lexicographic edge id
 
     id(u, v) = u * (2n - u - 3) / 2 + v - 1        for u < v,
 
-which is the order of all_edges and of the colouring file.  With
-off = row_offsets(n), the id is off[u] + v; the hot loops of the sampler,
-oracle and events modules read the table that way, and every other caller
-goes through the checked accessor EdgeColouring.colour.  n is capped at
-MAX_VERTICES, which keeps a table under 540 MB.
+which is the order of the colouring file.  With off = row_offsets(n), the
+id is off[u] + v; the hot loops of the sampler, oracle and events modules
+read the table that way, and every other caller goes through the checked
+accessor EdgeColouring.colour.  n is capped at MAX_VERTICES, which keeps
+a table under 540 MB.
 
 Colouring files stream in both directions.  save_colouring writes the
 header and then one row of edges at a time to a text stream (or returns
@@ -27,10 +27,13 @@ number of equally coloured edges meeting at a single vertex).  The edges
 at a vertex are its row of the table and its column; boundedness copies
 the columns into a buffer a block of 64 at a time, one strided slice per
 row above the block, so that each vertex's colours are two contiguous runs
-that one Counter counts.  Generators for both regimes are provided, and
-they build their tables in range without the constructor's scan; the
-locally bounded one merges matchings of a round-robin 1-factorization,
-which makes the local bound tight by construction instead of by rejection.
+that one Counter counts.  Generators for both regimes are provided.  Each
+shuffles a sequence of colours, k of each and a short last class, in
+place: the globally bounded one shuffles the table itself, and the locally
+bounded one the colours of the matchings of a round-robin
+1-factorization, which makes the local bound tight by construction instead
+of by rejection.  Neither makes a second table, and both skip the
+constructor's scan.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ __all__ = [
     "save_colouring",
     "constant_colouring",
     "distinct_colouring",
-    "all_edges",
     "row_offsets",
     "MAX_VERTICES",
     "COLOUR_MAX",
@@ -70,13 +72,6 @@ COLOUR_MAX = 2**31 - 1
 _BLOCK_CHARS = 1 << 16
 # Columns of the table that boundedness gathers at once.
 _COLUMN_BLOCK = 64
-
-
-def all_edges(n: int) -> Iterator[tuple[int, int]]:
-    """Edges of K_n in lexicographic order."""
-    for u in range(n):
-        for v in range(u + 1, n):
-            yield (u, v)
 
 
 @lru_cache(maxsize=16)
@@ -101,8 +96,8 @@ def _check_size(n: int) -> None:
 class EdgeColouring:
     """Total colour assignment on the edges of K_n.
 
-    table[id(u, v)] is the nonnegative colour of edge (u, v), in the edge
-    order of all_edges(n).  A table that is not an array('i') is copied
+    table[id(u, v)] is the nonnegative colour of edge (u, v), in the
+    lexicographic edge order.  A table that is not an array('i') is copied
     into one.  Totality over all C(n, 2) edges is enforced.
     """
 
@@ -185,32 +180,40 @@ def boundedness(colouring: EdgeColouring) -> Boundedness:
     )
 
 
+def _shuffled_colours(size: int, k: int, seed: int) -> array:
+    """size colours in a uniformly random order: each colour c < size // k
+    k times, and colour size // k on the size % k slots left over.  The
+    multiset is laid out a range at a time and shuffled in place with
+    Random(seed)."""
+    full, rest = divmod(size, k)
+    colours = array("i", range(full))
+    colours *= k
+    colours.extend([full] * rest)
+    random.Random(seed).shuffle(colours)
+    return colours
+
+
 def gen_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
     """Random colouring in which no colour is used more than k times.
 
-    Shuffles the edge ids and assigns colour i//k to the i-th edge, so
-    exactly ceil(C(n,2)/k) colours are used.
+    The table is a shuffled sequence of k edges of each colour and a short
+    last class, so exactly ceil(C(n,2)/k) colours are used; the shuffle
+    makes every arrangement of that multiset equally likely.
     """
     if n < 2 or k < 1:
         raise DomainError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
     _check_size(n)
-    # shuffle swaps by index only, so the array gives the list's permutation
-    order = array("i", range(n * (n - 1) // 2))
-    rng = random.Random(seed)
-    rng.shuffle(order)
-    table = array("i", [0]) * len(order)
-    for colour, start in enumerate(range(0, len(order), k)):
-        for e in order[start : start + k]:
-            table[e] = colour
-    return _checked_colouring(n, table)
+    return _checked_colouring(n, _shuffled_colours(n * (n - 1) // 2, k, seed))
 
 
 def gen_locally_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
     """Random colouring with at most k equally coloured edges per vertex.
 
     Builds the round-robin proper edge colouring of K_n and merges randomly
-    grouped batches of k matching classes into single colours.  Each class
-    meets every vertex at most once, so the local bound is at most k.
+    grouped batches of k matching classes into single colours: the classes
+    take a shuffled sequence of k copies of each colour and a short last
+    batch.  Each class meets every vertex at most once, so the local bound
+    is at most k.
 
     Round robin on r = n (odd n) or r = n - 1 (even n) vertices: class c
     holds the edges (a, b), a, b < r, with a + b = 2c (mod r), and for even
@@ -220,21 +223,17 @@ def gen_locally_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
         raise DomainError(f"need n >= 2 and k >= 1, got n={n}, k={k}")
     _check_size(n)
     r = n if n % 2 else n - 1
-    order = list(range(r))
-    rng = random.Random(seed)
-    rng.shuffle(order)
-    colour_of_class = [0] * r
-    for pos, class_idx in enumerate(order):
-        colour_of_class[class_idx] = pos // k
+    colour_of_class = _shuffled_colours(r, k, seed)
     # by_sum[s] is the colour of every edge (a, b) with a + b = s, a, b < r;
     # (r + 1) / 2 is the inverse of 2 modulo the odd r
     half = (r + 1) // 2
     by_sum = array("i", (colour_of_class[s * half % r] for s in range(2 * r)))
-    table = array("i")
+    off = row_offsets(n)
+    table = array("i", [0]) * (n * (n - 1) // 2)
     for a in range(n - 1):
-        table.extend(by_sum[2 * a + 1 : a + r])
+        table[off[a] + a + 1 : off[a] + r] = by_sum[2 * a + 1 : a + r]
         if r < n:
-            table.append(colour_of_class[a])
+            table[off[a] + n - 1] = colour_of_class[a]
     return _checked_colouring(n, table)
 
 

@@ -7,7 +7,7 @@ import tempfile
 import time
 import tracemalloc
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, combinations
 from pathlib import Path
 from unittest.mock import patch
 
@@ -29,7 +29,7 @@ from rainbowcopy import (
     save_colouring,
 )
 from rainbowcopy import colouring
-from rainbowcopy.colouring import COLOUR_MAX, MAX_VERTICES, all_edges
+from rainbowcopy.colouring import COLOUR_MAX, MAX_VERTICES
 
 # colours of the K_4 edges 01, 02, 03, 12, 13, 23 (lexicographic order)
 # perfect matchings {01, 23}, {02, 13}, {03, 12} get colours 0, 1, 2
@@ -198,7 +198,7 @@ class TestEdgeColouring:
     def test_table_is_four_bytes_per_edge_in_edge_order(self):
         chi = gen_k_bounded(9, 2, 4)
         assert chi.table.typecode == "i" and chi.table.itemsize == 4
-        assert list(chi.table) == [chi.colour(u, v) for u, v in all_edges(9)]
+        assert list(chi.table) == [chi.colour(u, v) for u, v in combinations(range(9), 2)]
 
     def test_colour_lookup_normalises(self):
         assert K4_MATCHINGS.colour(3, 0) == 2
@@ -221,6 +221,7 @@ def test_gen_k_bounded_properties(n, k, seed):
     assert boundedness(chi).global_bound <= k
     n_edges = n * (n - 1) // 2
     assert boundedness(chi).colours == -(-n_edges // k)
+    assert sorted(chi.table) == [i // k for i in range(n_edges)]
 
 
 @settings(max_examples=60, derandomize=True)
@@ -233,17 +234,38 @@ def test_gen_locally_k_bounded_properties(n, k, seed):
     chi = gen_locally_k_bounded(n, k, seed)
     assert boundedness(chi).local_bound <= k
     assert load_colouring(save_colouring(chi)) == chi
+    # colour i // k on the i-th of r matching classes of n // 2 edges each
+    r = n if n % 2 else n - 1
+    assert sorted(chi.table) == [i // k for i in range(r) for _ in range(n // 2)]
 
 
 @settings(max_examples=40, derandomize=True)
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**31))
 def test_locally_1_bounded_is_proper(n, seed):
     chi = gen_locally_k_bounded(n, 1, seed)
-    edges = list(all_edges(n))
+    edges = list(combinations(range(n), 2))
     for u, v in edges:
         for x, y in edges:
             if (u, v) < (x, y) and {u, v} & {x, y}:
                 assert chi.colour(u, v) != chi.colour(x, y)
+
+
+# Each generator draws a uniformly random arrangement of a fixed colour
+# multiset: colour i // k on the i-th of the C(n, 2) edges, or on the i-th of
+# the r matching classes, in some order.  K_3 with k=2 has the 3 arrangements
+# of {0, 0, 1}; K_5 with k=2 has the 30 of {0, 0, 1, 1, 2} on its 5 classes of
+# 2 edges each, so its tables hold colours 0 and 1 four times and 2 twice.
+@pytest.mark.parametrize("gen, n, multiset, n_tables", [
+    (gen_k_bounded, 3, [0, 0, 1], 3),
+    (gen_locally_k_bounded, 5, [0] * 4 + [1] * 4 + [2] * 2, 30),
+])
+def test_generators_draw_every_arrangement_evenly(gen, n, multiset, n_tables):
+    draws = 30_000
+    counts = Counter(tuple(gen(n, 2, seed).table) for seed in range(draws))
+    assert all(sorted(table) == multiset for table in counts)
+    assert len(counts) == n_tables
+    mean = draws / n_tables
+    assert all(0.85 * mean <= count <= 1.15 * mean for count in counts.values()), counts
 
 
 @settings(max_examples=60, derandomize=True)
@@ -254,7 +276,7 @@ def test_locally_1_bounded_is_proper(n, seed):
 )
 def test_boundedness_matches_brute_force(n, n_colours, seed):
     chi = random_colouring(random.Random(seed), n, n_colours)
-    edges = list(all_edges(n))
+    edges = list(combinations(range(n), 2))
     by_colour = Counter(chi.colour(u, v) for u, v in edges)
     global_bound = max(by_colour.values(), default=0)
     local_bound = max(
@@ -270,7 +292,7 @@ def test_boundedness_matches_brute_force(n, n_colours, seed):
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 128, 129, 130])
 def test_boundedness_across_column_blocks(n, n_colours):
     chi = random_colouring(random.Random(n * 31 + n_colours), n, n_colours)
-    by_colour = Counter(chi.colour(u, v) for u, v in all_edges(n))
+    by_colour = Counter(chi.colour(u, v) for u, v in combinations(range(n), 2))
     local_bound = max(
         max(Counter(chi.colour(x, y) for y in range(n) if y != x).values(), default=0)
         for x in range(n)
@@ -338,16 +360,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# sha256 prefixes of save_colouring output, recorded with the dict-backed
-# colouring that preceded the flat table: generation and serialisation are
-# unchanged bit for bit
+# sha256 prefixes of save_colouring output: they pin the colouring each
+# generator draws for a seed, and its serialisation
 @pytest.mark.parametrize(
     "gen, n, k, seed, digest",
     [
-        (gen_k_bounded, 400, 27, 1, "1f9493fa4cc3095d"),
-        (gen_locally_k_bounded, 400, 45, 1, "d5a99fbf86d066ed"),
-        (gen_k_bounded, 7, 3, 5, "a06b17c2778ff8ae"),
-        (gen_locally_k_bounded, 9, 2, 5, "a13e36c5c1d8ce02"),
+        (gen_k_bounded, 400, 27, 1, "564bb60279cff803"),
+        (gen_locally_k_bounded, 400, 45, 1, "5df3a12aa1d09bcc"),
+        (gen_k_bounded, 7, 3, 5, "4d00721b320787a0"),
+        (gen_locally_k_bounded, 9, 2, 5, "88c60ad19ee9e4b9"),
     ],
 )
 def test_saved_colourings_are_pinned(gen, n, k, seed, digest):
@@ -362,7 +383,7 @@ def test_saved_colourings_are_pinned(gen, n, k, seed, digest):
 def reference_load(text: str) -> EdgeColouring:
     """The per-line loader that preceded the block parser, kept as an
     independent reference: one str.splitlines over the whole document,
-    int() on every token, edge ids from a dict over all_edges."""
+    int() on every token, edge ids from a dict over the lexicographic edges."""
     lines = text.splitlines()
     n = None
     for header_lineno, raw in enumerate(lines, start=1):
@@ -382,7 +403,7 @@ def reference_load(text: str) -> EdgeColouring:
         raise FormatError("empty document: missing 'n <N>' header")
     if n > MAX_VERTICES:
         raise CapacityError(f"K_{n} exceeds the colouring cap of {MAX_VERTICES} vertices")
-    edges = list(all_edges(n))
+    edges = list(combinations(range(n), 2))
     if len(lines) - header_lineno < len(edges):
         raise FormatError(
             f"colouring incomplete: {len(lines) - header_lineno} lines after the header, "
@@ -470,7 +491,7 @@ def build_document(data, n: int, rng: random.Random) -> tuple[str, list[str]]:
     line of a parsing block.
     """
     top = data.draw(st.sampled_from([9, 1000, COLOUR_MAX]), label="top colour")
-    edges = list(all_edges(n))
+    edges = list(combinations(range(n), 2))
     if data.draw(st.sampled_from([False, False, False, True]), label="shuffle all"):
         rng.shuffle(edges)
     lines = [[str(u), str(v), str(rng.randint(0, top)), "\n"] for u, v in edges]
@@ -646,3 +667,8 @@ def test_files_stream_through_save_and_load(tmp_path):
         loaded, peak = _traced(load_colouring, handle)
     assert peak < table_bytes + 3 * 2**20
     assert loaded == chi
+
+
+def test_gen_k_bounded_builds_no_second_table():
+    chi, peak = _traced(gen_k_bounded, 1000, 50, 1)
+    assert peak <= 1.25 * len(chi.table) * chi.table.itemsize

@@ -283,16 +283,16 @@ class TestCliqueCovers:
 
 
 PINNED_CLASSES = [
-    (cycle_graph(4), gen_k_bounded(6, 2, 9), "rainbow", 88, {
-        "G-side-intersecting": ("432", 18), "G-side-disjoint": ("1728", 64),
-        "Kn-side-intersecting": ("288", 24), "Kn-side-disjoint": ("1728", 48),
+    (cycle_graph(4), gen_k_bounded(6, 2, 9), "rainbow", 72, {
+        "G-side-intersecting": ("432", 30), "G-side-disjoint": ("1728", 32),
+        "Kn-side-intersecting": ("288", 32), "Kn-side-disjoint": ("1728", 32),
     }),
     (path_graph(3), constant_colouring(3), "proper", 6, {
         "G-side-intersecting": ("12", 6), "Kn-side-intersecting": ("12", 6),
     }),
-    (path_graph(4), gen_k_bounded(5, 3, 1), "rainbow", 44, {
-        "G-side-intersecting": ("450", 28), "G-side-disjoint": ("1500", 16),
-        "Kn-side-intersecting": ("300", 24), "Kn-side-disjoint": ("1500", 16),
+    (path_graph(4), gen_k_bounded(5, 3, 1), "rainbow", 48, {
+        "G-side-intersecting": ("450", 24), "G-side-disjoint": ("1500", 24),
+        "Kn-side-intersecting": ("300", 16), "Kn-side-disjoint": ("1500", 24),
     }),
 ]
 
