@@ -28,7 +28,7 @@ from .colouring import (
 from .errors import CapacityError, DomainError, FormatError
 from .events import cherry_rates
 from .graph import cherry_stats, complete_graph, cycle_graph, load_graph, path_graph
-from .oracle import exists_copy
+from .oracle import search_copy
 from .sampler import find_copy
 
 __all__ = ["main", "build_parser"]
@@ -90,7 +90,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     inputs = {"delta": args.delta, "stats": stats, "q": args.q, "p": args.p}
     if args.search_mu:
         params, cert = lll.optimize_mu(*lll.certificate_inputs(setting, args.n, args.k, **inputs))
-        _print_json({"parameters": params, "certificate": cert.to_json()})
+        _print_json({"parameters": params, "certificate": cert.to_json(), "search": cert.search})
         return 0 if cert.holds else 1
     report = lll.verify_paper_inequalities(setting, n=args.n, k=args.k, **inputs)
     _print_json(report)
@@ -132,11 +132,12 @@ def _cmd_find(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     colouring = _read_colouring(args.colouring)
-    embedding = exists_copy(g, colouring, args.mode)
+    embedding, nodes = search_copy(g, colouring, args.mode)
     if embedding is None:
         print("no valid embedding")
+        print(f"nodes: {nodes}", file=sys.stderr)
         return 1
-    _print_json(embedding.to_json())
+    _print_json({**embedding.to_json(), "nodes": nodes})
     return 0
 
 

@@ -17,8 +17,8 @@ Equality counts as holding.
 The mu search maximises the clique-form margin over the box [1e-12, 1e3]
 per weight.  In log mu the margin is log-concave, so a golden-section
 search per weight coordinate finds the optimum in the box; it runs in
-floats, and the returned certificate is always re-evaluated in exact
-rational arithmetic at the chosen parameters.
+floats on two fixed weight axes, and the returned certificate is always
+re-evaluated in exact rational arithmetic at the chosen parameters.
 
 The paper's two settings, thm3 (properly coloured copies) and thm7 (rainbow
 copies), are built in one place, certificate_inputs, from which the
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -98,12 +98,14 @@ class ConditionCheck:
 @dataclass(frozen=True)
 class LLLCertificate:
     """Outcome of one condition-variant check; the margin and the verdict
-    are read off the conditions."""
+    are read off the conditions.  search holds the counts of the optimize_mu
+    run that chose the parameters, else None, and is not compared."""
 
     variant: str
     parameters: dict
     probabilities: dict
     conditions: tuple[ConditionCheck, ...]
+    search: dict | None = field(default=None, compare=False)
 
     @cached_property
     def margin(self) -> Fraction | float:
@@ -279,15 +281,6 @@ def _log(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
-def _log1p_sum_exp(exponents: list[float]) -> float:
-    """log(1 + sum of exp(e)), without overflow."""
-    top = max([0.0, *exponents])
-    total = math.exp(-top)
-    for e in exponents:
-        total += math.exp(e - top)
-    return top + math.log(total)
-
-
 def _golden_max(f, lo: float, hi: float) -> tuple:
     """Golden-section search for the maximum of a concave f on [lo, hi].
 
@@ -322,12 +315,14 @@ def optimize_mu(p_by_class, clique_profile):
     is concave (a log-sum-exp of affine functions is convex), so their
     minimum over the types is concave, and so is its maximum over some
     coordinates.  So one golden-section search over [log MU_LO, log MU_HI]
-    per weight finds the optimum, each probe scored by the best margin over
-    the later weights (mu_dis inside mu_int).  At about 55 probes per
-    weight, that is about 55 margin evaluations for one weight and about
-    3000 for two; an evaluation scores each distinct clique once, although
-    the rainbow form lists each of its two cliques under both types.  The
-    search evaluates float logs of the terms of check_cluster_clique; the
+    per weight finds the optimum, each probe of mu_int scored by a search
+    over mu_dis.  Every probe is one evaluation of one flat margin on two
+    axes (-inf on the second for one weight), which scores each distinct
+    clique once, although the rainbow form lists each of its two cliques
+    under both types.  At 55 probes per weight that is 55 evaluations for
+    one weight and 3025 for two; cert.search counts them and the clique
+    scorings.  The search evaluates float logs of the terms of
+    check_cluster_clique, a clique's terms summed in axis order; the
     returned certificate is that exact check at the point found.  An
     optimum on the edge of the box is returned as the exact bound.  When
     the optimum lies below MU_LO, as for the rainbow form at large n, the
@@ -337,44 +332,54 @@ def optimize_mu(p_by_class, clique_profile):
     when no feasible point exists.
     """
     terms = _clique_terms(p_by_class, clique_profile)
-    axis = {t: i for i, t in enumerate(terms)}
-    # each distinct clique, as its (axis, log bound) pairs, is one shape,
-    # scored once per point however many types list it
-    shapes: dict[tuple, int] = {}
+    # each distinct clique is one shape, its log bound per axis (the types in
+    # terms order, padded to two), -inf where it counts none: exp(-inf) = 0.0
+    axes = [*terms, None][:2]
+    shapes: dict[tuple[float, float], int] = {}
 
     def shape_of(bounds) -> int:
-        key = tuple((axis[t], _log(b)) for t, b in bounds.items() if b)
+        key = tuple(_log(bounds[t]) if bounds.get(t) else -math.inf for t in axes)
         return shapes.setdefault(key, len(shapes))
 
     log_terms = [
-        (axis[s], _log(p), [(count, shape_of(bounds)) for count, bounds in cliques])
-        for s, (p, cliques) in terms.items()
+        (axis, _log(p), [(count, shape_of(bounds)) for count, bounds in cliques])
+        for axis, (p, cliques) in enumerate(terms.values())
         if p
     ]
+    exp, log = math.exp, math.log
+    evaluations = 0
 
-    def log_margin(x: list[float]) -> float:
-        scores = [_log1p_sum_exp([x[t] + log_b for t, log_b in shape]) for shape in shapes]
+    def log_margin(x0: float, x1: float) -> tuple[float, tuple[float, float]]:
+        nonlocal evaluations
+        evaluations += 1
+        scores = []
+        for b0, b1 in shapes:  # log(1 + exp(e0) + exp(e1)), scaled by max(0, e0, e1)
+            e0, e1 = x0 + b0, x1 + b1
+            top = e0 if e0 > e1 else e1
+            top = top if top > 0.0 else 0.0
+            scores.append(top + log(exp(-top) + exp(e0 - top) + exp(e1 - top)))
+        x = (x0, x1)
         worst = math.inf
-        for s, log_p, cliques in log_terms:
-            value = x[s] - log_p
+        for axis, log_p, cliques in log_terms:
+            value = x[axis] - log_p
             for count, i in cliques:
                 value -= count * scores[i]
-            worst = min(worst, value)
-        return worst
+            worst = value if value < worst else worst
+        return worst, x
 
     lo, hi = _log(MU_LO), _log(MU_HI)
-
-    def search(fixed: list[float]) -> tuple[float, list[float]]:
-        """The best log margin over the coordinates after fixed, and its point."""
-        if len(fixed) == len(axis):
-            return log_margin(fixed), fixed
-        return _golden_max(lambda t: search([*fixed, t]), lo, hi)
-
+    if len(terms) == 1:
+        _, point = _golden_max(lambda x0: log_margin(x0, -math.inf), lo, hi)
+    else:
+        _, point = _golden_max(
+            lambda x0: _golden_max(lambda x1: log_margin(x0, x1), lo, hi), lo, hi)
     # interior probes lie more than _LOG_TOL / 5 inside the box, far beyond
     # the rounding of exp, so their weights never leave it
     mus = [MU_LO if x == lo else MU_HI if x == hi else Fraction(math.exp(x))
-           for x in search([])[1]]
+           for x in point[:len(terms)]]
     cert = check_cluster_clique(p_by_class, clique_profile, dict(zip(terms, mus)))
+    cert = replace(cert, search={"evaluations": evaluations,
+                                 "scorings": evaluations * len(shapes)})
     return cert.parameters, cert
 
 

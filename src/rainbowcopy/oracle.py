@@ -19,6 +19,7 @@ from .sampler import Embedding
 
 __all__ = [
     "exists_copy",
+    "search_copy",
     "count_valid_embeddings",
     "count_injections_in_event",
     "DEFAULT_NODE_BUDGET",
@@ -109,13 +110,22 @@ class _Backtracker:
             start = w + 1
 
 
+def search_copy(
+    g: Graph, colouring: EdgeColouring, mode: str, node_budget: int = DEFAULT_NODE_BUDGET
+) -> tuple[Embedding | None, int]:
+    """A valid embedding if one exists, else None, and the number of nodes
+    the search explored.  Exhaustive; intended for small n."""
+    backtracker = _Backtracker(g, colouring, mode, node_budget)
+    found = backtracker.search(count_all=False)
+    return (Embedding(tuple(backtracker.image), mode) if found else None), backtracker.nodes
+
+
 def exists_copy(
     g: Graph, colouring: EdgeColouring, mode: str, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Embedding | None:
-    """A valid embedding if one exists, else None.  Exhaustive; intended
-    for small n."""
-    backtracker = _Backtracker(g, colouring, mode, node_budget)
-    return Embedding(tuple(backtracker.image), mode) if backtracker.search(count_all=False) else None
+    """A valid embedding if one exists, else None; search_copy without the
+    node count."""
+    return search_copy(g, colouring, mode, node_budget)[0]
 
 
 def count_valid_embeddings(

@@ -17,6 +17,7 @@ from rainbowcopy import (
 from rainbowcopy import cli
 from rainbowcopy.cli import main
 from rainbowcopy.colouring import MAX_VERTICES
+from rainbowcopy.oracle import DEFAULT_NODE_BUDGET, _Backtracker
 
 
 def write_graph(path, g):
@@ -162,7 +163,10 @@ class TestCertify:
         doc = json.loads(capsys.readouterr().out)
         params, cert = optimize_mu(*certificate_inputs(setting, 1000, Fraction(k), delta=2))
         assert doc == {"parameters": {key: str(v) for key, v in params.items()},
-                       "certificate": json.loads(json.dumps(cert.to_json()))}
+                       "certificate": json.loads(json.dumps(cert.to_json())),
+                       "search": cert.search}
+        assert doc["search"] == ({"evaluations": 3025, "scorings": 6050} if mode == "rainbow"
+                                 else {"evaluations": 55, "scorings": 55})
         assert code == (0 if cert.holds else 1)
 
     def test_proper_negative_delta_exit_2(self, capsys):
@@ -261,6 +265,29 @@ class TestGenFindOracle:
                      "--mode", "proper"])
         assert code == 1
         assert "no valid embedding" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("chi, found", [(gen_k_bounded(6, 2, 7), True),
+                                            (constant_colouring(5), False)])
+    def test_oracle_reports_the_nodes_it_explored(self, chi, found, tmp_path, capsys):
+        graph_file = tmp_path / "c4.graph"
+        write_graph(graph_file, cycle_graph(4))
+        col = tmp_path / "k.col"
+        col.write_text(save_colouring(chi), encoding="utf-8")
+        code = main(["oracle", "--graph", str(graph_file), "--colouring", str(col),
+                     "--mode", "rainbow"])
+        backtracker = _Backtracker(cycle_graph(4), chi, "rainbow", DEFAULT_NODE_BUDGET)
+        assert backtracker.search(count_all=False) == found
+        captured = capsys.readouterr()
+        if found:
+            assert code == 0
+            doc = json.loads(captured.out)
+            assert doc == {"image_of": backtracker.image, "mode": "rainbow",
+                           "nodes": backtracker.nodes}
+        else:
+            assert code == 1
+            assert captured.out == "no valid embedding\n"
+            assert captured.err == f"nodes: {backtracker.nodes}\n"
+        assert backtracker.nodes > 0
 
     def test_oracle_on_a_long_path(self, tmp_path, capsys):
         # deeper than the interpreter's recursion limit in graph vertices

@@ -388,18 +388,155 @@ class TestGoldenMax:
         assert len(probes) == 2 + steps + 2 == 55
 
 
-# Clique scorings (_log1p_sum_exp calls) of one search at n = 3000 on the
+# Margin evaluations and clique scorings of one search at n = 3000 on the
 # threshold cells: 55 probes per weight, each distinct clique scored once per
 # margin evaluation; rescoring per type or re-searching the chosen point
-# would give 12544 and 112.
+# would give 12544 and 112 scorings.
 @pytest.mark.parametrize("theorem, delta, scorings", [("thm7", 1, 55 * 55 * 2), ("cor4", 2, 55)])
-def test_search_scores_each_distinct_clique_once_per_point(monkeypatch, theorem, delta, scorings):
-    calls = []
-    score = lll._log1p_sum_exp
-    monkeypatch.setattr(lll, "_log1p_sum_exp", lambda e: calls.append(e) or score(e))
+def test_search_scores_each_distinct_clique_once_per_point(theorem, delta, scorings):
     cell = rainbow_cell if theorem == "thm7" else proper_cell
-    optimize_mu(*cell(3000, delta, threshold(theorem, 3000, delta=delta)))
-    assert len(calls) == scorings
+    _, cert = optimize_mu(*cell(3000, delta, threshold(theorem, 3000, delta=delta)))
+    evaluations = 55 ** len(cert.parameters)
+    assert cert.search == {"evaluations": evaluations, "scorings": scorings}
+
+
+def _log1p_sum_exp(exponents: list[float]) -> float:
+    """log(1 + sum of exp(e)), without overflow."""
+    top = max([0.0, *exponents])
+    total = math.exp(-top)
+    for e in exponents:
+        total += math.exp(e - top)
+    return top + math.log(total)
+
+
+def reference_search(p_by_class, clique_profile):
+    """optimize_mu's certificate as the search found it before its fixed
+    two-axis layout: shapes keyed by their (axis, log bound) pairs in the
+    order each bound mapping lists them, one log-sum-exp call per shape,
+    and a recursive golden-section search, one level per weight."""
+    terms = lll._clique_terms(p_by_class, clique_profile)
+    axis = {t: i for i, t in enumerate(terms)}
+    shapes: dict[tuple, int] = {}
+
+    def shape_of(bounds) -> int:
+        key = tuple((axis[t], lll._log(b)) for t, b in bounds.items() if b)
+        return shapes.setdefault(key, len(shapes))
+
+    log_terms = [(axis[s], lll._log(p), [(count, shape_of(bounds)) for count, bounds in cliques])
+                 for s, (p, cliques) in terms.items() if p]
+
+    def log_margin(x: list[float]) -> float:
+        scores = [_log1p_sum_exp([x[t] + log_b for t, log_b in shape]) for shape in shapes]
+        worst = math.inf
+        for s, log_p, cliques in log_terms:
+            value = x[s] - log_p
+            for count, i in cliques:
+                value -= count * scores[i]
+            worst = min(worst, value)
+        return worst
+
+    lo, hi = lll._log(MU_LO), lll._log(MU_HI)
+
+    def search(fixed: list[float]) -> tuple[float, list[float]]:
+        if len(fixed) == len(axis):
+            return log_margin(fixed), fixed
+        return lll._golden_max(lambda t: search([*fixed, t]), lo, hi)
+
+    mus = [MU_LO if x == lo else MU_HI if x == hi else Fraction(math.exp(x))
+           for x in search([])[1]]
+    return check_cluster_clique(p_by_class, clique_profile, dict(zip(terms, mus)))
+
+
+def reference_cells() -> list[tuple]:
+    """A seeded grid of (setting, n, k, rule) cells for certificate_inputs:
+    both settings, n from 5 to 10^5, delta 1 to 3 or the cherry statistics
+    of a small graph, and k at, below and above the threshold, at the exact
+    bound and at a fraction of it."""
+    rng = random.Random(20170)
+    rules = [{"delta": d} for d in (1, 2, 3)]
+    rules += [{"stats": cherry_stats(g)} for g in (cycle_graph(5), path_graph(7), complete_graph(4))]
+    cells = []
+    for setting in ("thm7", "thm3"):
+        for n in (5, 6, 9, 20, 77, 100, 316, 1000, 3162, 10**4, 3 * 10**4, 10**5):
+            for _ in range(2):
+                rule = rng.choice(rules)
+                bound = lll._bound(setting, n, **rule)
+                top = math.floor(bound)
+                ks = [top, max(top - 1, 0), top + 1, bound, bound * Fraction(rng.randint(1, 40), 16)]
+                cells.append((setting, n, ks[len(cells) % len(ks)], rule))
+    return cells
+
+
+def hand_built_inputs() -> list[tuple]:
+    """(probabilities, profiles) that certificate_inputs never builds, with
+    every bound mapping listing the intersecting type first."""
+    probs, profiles = rainbow_cell(1000, 1, 19)
+    g, i = profiles[INTERSECTING].graph, profiles[INTERSECTING].image
+    zero = {INTERSECTING: Fraction(0), DISJOINT: g[DISJOINT]}
+    return [
+        # a zero bound on each side
+        (probs, {t: NeighbourhoodProfile(prof.count, zero, {**i, DISJOINT: Fraction(0)})
+                 for t, prof in profiles.items()}),
+        # two equal cliques, one shape
+        (probs, {t: NeighbourhoodProfile(prof.count, i, dict(i)) for t, prof in profiles.items()}),
+        # a disjoint-only mapping
+        ({DISJOINT: probs[DISJOINT]},
+         {DISJOINT: NeighbourhoodProfile(4, {DISJOINT: g[DISJOINT]}, {DISJOINT: i[DISJOINT]})}),
+        # bare profiles: one clique, a zero bound, no bound at all
+        (Fraction(1, 25), single_clique_profile(7)),
+        (Fraction(1, 20), NeighbourhoodProfile(3, {INTERSECTING: Fraction(0)}, {INTERSECTING: Fraction(2)})),
+        (Fraction(1, 20), NeighbourhoodProfile(3, {}, {})),
+    ]
+
+
+def reordered(profiles, order, jitter=None):
+    """profiles with every bound mapping listing its types in order, each
+    bound scaled by jitter() when given."""
+    def bounds(side):
+        return {t: side[t] * (jitter() if jitter else 1) for t in order if t in side}
+    return {t: NeighbourhoodProfile(prof.count, bounds(prof.graph), bounds(prof.image))
+            for t, prof in profiles.items()}
+
+
+def caller_built_inputs(order) -> list[tuple]:
+    """Seeded rainbow cells with every bound scaled by its own factor in
+    [1/2, 2], the bound mappings listing their types in order."""
+    rng = random.Random(3)
+    cells = []
+    for _ in range(24):
+        n = rng.randint(100, 5000)
+        probs, profiles = rainbow_cell(n, 1, Fraction(n, rng.randint(30, 60)))
+        cells.append((probs, reordered(profiles, order, lambda: Fraction(rng.randint(50, 200), 100))))
+    return cells
+
+
+def test_search_matches_the_reference_search():
+    inputs = [certificate_inputs(setting, n, k, **rule) for setting, n, k, rule in reference_cells()]
+    assert len(inputs) >= 40
+    inputs += hand_built_inputs() + caller_built_inputs((INTERSECTING, DISJOINT))
+    for cell in inputs:
+        expected = reference_search(*cell)
+        params, cert = optimize_mu(*cell)
+        assert params == expected.parameters, cell
+        assert cert.to_json() == expected.to_json(), cell
+
+
+def test_search_on_disjoint_first_profiles_keeps_the_verdict():
+    # A clique's terms are summed in axis order, the reference's in the order
+    # its bound mapping lists them, so on mappings that list the disjoint
+    # type first the float weights may differ in the last bits.
+    order = (DISJOINT, INTERSECTING)
+    cells = caller_built_inputs(order)
+    cells += [(probs, reordered(profiles, order))
+              for probs, profiles in hand_built_inputs() if isinstance(profiles, dict)]
+    differ = 0
+    for probs, profiles in cells:
+        expected = reference_search(probs, profiles)
+        params, cert = optimize_mu(probs, profiles)
+        differ += params != expected.parameters
+        assert cert.holds == expected.holds
+        assert math.isclose(float(cert.margin), float(expected.margin), rel_tol=1e-9)
+    assert differ  # the cells reach the order difference
 
 
 # Verdict and float margin of the earlier grid-scan search (100-bit scan,
