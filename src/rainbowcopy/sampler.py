@@ -14,18 +14,22 @@ intersection graph the lll module certifies with (the tests check both
 exactly on small n).
 
 Violations are tracked incrementally in an index keyed by ints (the image
-colour, or colour and endpoint in proper mode) whose members are graph
-edge ids.  A step first applies all its swaps and then re-files the union
-of the edges incident to the swapped graph positions once, skipping edges
-whose keys are unchanged, so one resample costs time proportional to the
-degrees of the touched vertices rather than to the number of edge pairs.
-Image colours are read straight from the colouring's flat table.
+colour, or colour and endpoint in proper mode) whose classes are lists of
+graph edge ids; each edge's filed keys are kept as ints in flat lists.  A
+step first applies all its swaps and then re-files the edges incident to
+the swapped graph positions, repeats included: an edge met again, or one
+whose colour did not change, keeps its keys and is skipped, so one
+resample costs time proportional to the degrees of the touched vertices
+rather than to the number of edge pairs.  Image colours are read straight
+from the colouring's flat table, and both random draws of a step are
+random.Random.randrange written out on the generator's getrandbits, so
+they consume the same words and give the same values.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .colouring import EdgeColouring, row_offsets
@@ -155,73 +159,116 @@ class FindResult:
 class _ViolationIndex:
     """Incremental bookkeeping of violating edge pairs, keyed by ints.
 
-    Members are edge ids into g.sorted_edges().  A key is the image colour
-    in rainbow mode and colour * |V(G)| + endpoint in proper mode; a key is
-    bad once two edges share it, and bad holds exactly the bad keys.
-    keys_at remembers the keys each edge is filed under, so taking an edge
-    out needs no colour lookup.  The state is a function of the image
-    alone, whatever order the edges were filed in.
+    Members are edge ids into g.sorted_edges(), whose endpoints the index
+    keeps as the int lists end_u and end_v.  A key is the image colour in
+    rainbow mode; in proper mode an edge has two keys, colour * |V(G)| + u
+    and colour * |V(G)| + v.  key_u[e] and key_v[e] are the keys edge e is
+    filed under, -1 while it is not filed (key_v stays -1 in rainbow
+    mode), so taking an edge out needs no colour lookup.  A class is the
+    list of the edges filed under its key, in no particular order; a key
+    is bad once two edges share it, and bad holds exactly the bad keys.
+    The state is a function of the image alone, up to the order of each
+    class, whatever order the edges were filed in.
     """
 
     def __init__(self, mode: str, edges: list[tuple[int, int]], g_size: int,
                  colouring: EdgeColouring):
         self.proper = mode == "proper"
-        self.edges = edges
+        self.end_u = [u for u, _ in edges]
+        self.end_v = [v for _, v in edges]
         self.g_size = g_size
         self.table, self.off = colouring.table, row_offsets(colouring.n)
-        self.keys_at: list[tuple[int, ...]] = [()] * len(edges)
-        self.classes: dict[int, set[int]] = {}
+        self.key_u = [-1] * len(edges)
+        self.key_v = [-1] * len(edges)
+        self.classes: dict[int, list[int]] = {}
         self.bad: set[int] = set()
 
     def move(self, touched: Iterable[int], img: list[int]) -> None:
         """Re-files each touched edge under its keys at the image img,
         skipping edges whose keys are unchanged.  Every edge whose image
-        colour changed since the last call must be among the touched."""
-        proper, edges, g_size = self.proper, self.edges, self.g_size
-        table, off = self.table, self.off
-        keys_at, classes, bad = self.keys_at, self.classes, self.bad
+        colour changed since the last call must be among the touched; an
+        edge may be touched more than once, and its repeats are skipped as
+        unchanged.  In proper mode both keys of an edge change together,
+        with its colour, so key_u alone decides."""
+        proper, g_size = self.proper, self.g_size
+        end_u, end_v, table, off = self.end_u, self.end_v, self.table, self.off
+        key_u, key_v, classes, bad = self.key_u, self.key_v, self.classes, self.bad
         for e in touched:
-            u, v = edges[e]
+            u, v = end_u[e], end_v[e]
             x, y = img[u], img[v]
-            colour = table[off[x] + y] if x < y else table[off[y] + x]
-            keys = (colour * g_size + u, colour * g_size + v) if proper else (colour,)
-            if keys == keys_at[e]:
+            key = table[off[x] + y] if x < y else table[off[y] + x]
+            if proper:
+                key = key * g_size + u
+            old = key_u[e]
+            if key == old:
                 continue
-            for key in keys_at[e]:
-                members = classes[key]
-                members.remove(e)
-                if not members:
-                    del classes[key]
-                elif len(members) == 1:
-                    bad.remove(key)
-            keys_at[e] = keys
-            for key in keys:
+            if old >= 0:
+                members = classes[old]
+                if len(members) == 1:
+                    del classes[old]
+                else:
+                    members.remove(e)
+                    if len(members) == 1:
+                        bad.remove(old)
+            key_u[e] = key
+            members = classes.get(key)
+            if members is None:
+                classes[key] = [e]
+            else:
+                members.append(e)
+                if len(members) == 2:
+                    bad.add(key)
+            if proper:
+                old = key_v[e]
+                if old >= 0:
+                    members = classes[old]
+                    if len(members) == 1:
+                        del classes[old]
+                    else:
+                        members.remove(e)
+                        if len(members) == 1:
+                            bad.remove(old)
+                key += v - u
+                key_v[e] = key
                 members = classes.get(key)
                 if members is None:
-                    classes[key] = {e}
+                    classes[key] = [e]
                 else:
-                    members.add(e)
+                    members.append(e)
                     if len(members) == 2:
                         bad.add(key)
 
-    def draw(self, rng: random.Random) -> list[int]:
+    def draw(self, getrandbits: Callable[[int], int]) -> list[int]:
         """The two smallest members of a bad key drawn uniformly, by its rank
-        among the sorted bad keys, so the draw depends on the image alone."""
-        key = sorted(self.bad)[rng.randrange(len(self.bad))]
-        return sorted(self.classes[key])[:2]
+        among the sorted bad keys, so the draw depends on the image alone.
+        The rank is random.Random.randrange(len(bad)) written out on the
+        generator's bound getrandbits: the same words, the same value."""
+        bad = self.bad
+        m = len(bad)
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        return sorted(self.classes[sorted(bad)[r]])[:2]
 
     def pair_count(self) -> int:
         return sum(len(self.classes[key]) * (len(self.classes[key]) - 1) // 2 for key in self.bad)
 
 
-def _swap(img: list[int], vertices: list[int], rng: random.Random) -> list[int]:
+def _swap(img: list[int], vertices: list[int], getrandbits: Callable[[int], int]) -> list[int]:
     """One Swapping Algorithm step on the permutation img: the i-th of the
     ascending positions vertices swaps with a uniform one of the len(img) - i
-    positions not among the vertices before it.  Returns the partners."""
+    positions not among the vertices before it, drawn as randrange(len(img)
+    - i) would draw it from the generator's bound getrandbits.  Returns the
+    partners."""
     partners = []
     n = len(img)
     for v in vertices:
-        j = rng.randrange(n - len(partners))
+        m = n - len(partners)
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
         for w in vertices:  # the j-th position not among the vertices before v
             if w >= v or j < w:
                 break
@@ -270,18 +317,20 @@ def find_copy(
         incident[v].append(e)
     index = _ViolationIndex(mode, edges, g_size, colouring)
     index.move(range(len(edges)), img)
+    getrandbits = rng.getrandbits
 
     resamples = 0
     while index.bad:
         if resamples >= max_resamples:
             return FindResult(None, False, resamples, index.pair_count())
-        first, second = index.draw(rng)
+        first, second = index.draw(getrandbits)
         vertices = sorted({*edges[first], *edges[second]})
-        touched: set[int] = set()
-        # graph vertices occupy the first g_size positions of img
-        for p in vertices + _swap(img, vertices, rng):
+        touched: list[int] = []
+        # graph vertices occupy the first g_size positions of img; an edge
+        # at two of them is touched twice, and move skips the repeat
+        for p in vertices + _swap(img, vertices, getrandbits):
             if p < g_size:
-                touched.update(incident[p])
+                touched += incident[p]
         index.move(touched, img)
         resamples += 1
     embedding = Embedding(tuple(img[:g_size]), mode)

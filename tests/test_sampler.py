@@ -207,29 +207,73 @@ def test_small_instance_transcripts_are_pinned():
     assert digest.hexdigest() == SMALL_PINS_SHA256
 
 
+# sha256(...)[:16] over find_copy(...).to_json() of seeds 0-3 with
+# max_resamples=3000, one JSON line per seed, for C_60 and P_40 in K_300
+# with the colourings gen_k_bounded(300, 250, 1) (rainbow) and
+# gen_locally_k_bounded(300, 100, 1) (proper).  Most swap partners fall
+# outside the graph there, so find_copy drops them from the edges it
+# re-files, which the C_400 pins above (|V(G)| = n) never do.  The digests
+# were derived with the index that kept keys as tuples and classes as sets
+# and drew through randrange, before the index moved to int keys and list
+# classes and the draws to getrandbits, and held unchanged through that.
+MODERATE_PINS = {
+    ("C_60", "rainbow"): "dec56b50f866f66c",
+    ("C_60", "proper"): "60076a07091faeef",
+    ("P_40", "rainbow"): "bdce3b244815b35b",
+    ("P_40", "proper"): "4662f388ea08c1e0",
+}
+
+
+@pytest.mark.parametrize("name, mode", sorted(MODERATE_PINS))
+def test_transcripts_with_partners_outside_the_graph_are_pinned(name, mode):
+    g = cycle_graph(60) if name == "C_60" else path_graph(40)
+    chi = gen_k_bounded(300, 250, 1) if mode == "rainbow" else gen_locally_k_bounded(300, 100, 1)
+    digest = hashlib.sha256()
+    for seed in range(4):
+        result = find_copy(g, chi, mode, seed=seed, max_resamples=3000)
+        digest.update(json.dumps(result.to_json(), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest()[:16] == MODERATE_PINS[name, mode]
+
+
 _Index = sampler._ViolationIndex
+
+
+def _state(index):
+    """The per-edge keys, the bad keys and each key's member set of an
+    index; the order within a class is not state."""
+    return (index.key_u, index.key_v, index.bad,
+            {key: set(members) for key, members in index.classes.items()})
 
 
 class _CheckedIndex(_Index):
     """Compares the whole index with one built afresh over the current image
-    after every update, and checks every pair find_copy draws against a
-    full recomputation of the violating pairs."""
+    after every update, re-files the touched edges once more, repeated and
+    reversed, which must change nothing, and checks every pair find_copy
+    draws against a full recomputation of the violating pairs."""
 
     calls = 0
     moves = 0
+    modes = set()
 
     def __init__(self, *args):
         super().__init__(*args)
         self.args = args
 
     def move(self, touched, img):
+        touched = list(touched)
         super().move(touched, img)
         fresh = _Index(*self.args)
-        fresh.move(range(len(self.edges)), img)
-        assert self.classes == fresh.classes
-        assert self.bad == fresh.bad
-        assert self.keys_at == fresh.keys_at
+        fresh.move(range(len(self.end_u)), img)
+        assert _state(self) == _state(fresh)
+        before = (self.key_u[:], self.key_v[:], set(self.bad),
+                  {key: list(members) for key, members in self.classes.items()})
+        super().move(touched[::-1] * 2, img)
+        assert (self.key_u, self.key_v, self.bad, self.classes) == before
         type(self).moves += 1
+        type(self).modes.add(self.proper)
+
+    def keys(self, e):
+        return {self.key_u[e], self.key_v[e]} - {-1}
 
     def all_pairs(self):
         pairs = set()
@@ -237,9 +281,9 @@ class _CheckedIndex(_Index):
             pairs.update(combinations(sorted(members), 2))
         return pairs
 
-    def draw(self, rng):
-        first, second = pair = super().draw(rng)
-        assert first < second and set(self.keys_at[first]) & set(self.keys_at[second])
+    def draw(self, getrandbits):
+        first, second = pair = super().draw(getrandbits)
+        assert first < second and self.keys(first) & self.keys(second)
         pairs = self.all_pairs()
         assert tuple(pair) in pairs
         assert self.pair_count() == len(pairs)
@@ -263,31 +307,35 @@ def test_incremental_minimum_matches_all_pairs(monkeypatch):
         result = find_copy(g, chi, mode, seed=rng.randrange(10**6), max_resamples=300)
         assert result.success or result.resamples == 300
     assert _CheckedIndex.calls > 1000 and _CheckedIndex.moves > 1000
+    assert _CheckedIndex.modes == {False, True}
 
 
 class _Scripted:
-    """Stands in for random.Random in sampler._swap: randrange(k) records k
-    and returns the next scripted value."""
+    """Stands in for the generator's getrandbits in sampler._swap:
+    getrandbits(k) records k and returns the next scripted value."""
 
     def __init__(self, values):
         self.values = values
-        self.ranges = []
+        self.widths = []
 
-    def randrange(self, k):
-        self.ranges.append(k)
-        return self.values[len(self.ranges) - 1]
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return self.values[len(self.widths) - 1]
 
 
 def step_outcomes(start, vertices, n):
     """The injection after one sampler._swap step from the injection start
     (padded by its sorted complement), once per draw sequence; the i-th
-    draw is uniform over n - i values, so the sequences are equally likely."""
+    draw is uniform over n - i values, so the sequences are equally likely.
+    Each scripted value is below its range, so _swap takes it at the first
+    getrandbits call, as randrange would."""
     ranges = [n - i for i in range(len(vertices))]
     for script in product(*map(range, ranges)):
+        assert all(j < m for j, m in zip(script, ranges))
         rng = _Scripted(script)
         img = list(start) + sorted(set(range(n)) - set(start))
-        sampler._swap(img, vertices, rng)
-        assert rng.ranges == ranges
+        sampler._swap(img, vertices, rng.getrandbits)
+        assert rng.widths == [m.bit_length() for m in ranges]
         yield tuple(img[:len(start)])
 
 
@@ -332,3 +380,62 @@ def test_swap_step_is_a_resampling_oracle(g, n, mode, shapes):
         total = sum(outcomes.values())
         assert len(outcomes) == len(injections)
         assert {Fraction(count, total) for count in outcomes.values()} == {Fraction(1, len(injections))}
+
+
+def _reference_swap(img, vertices, rng):
+    """sampler._swap as it was written before its draws went straight to
+    getrandbits: one Random.randrange per swapped position."""
+    partners = []
+    n = len(img)
+    for v in vertices:
+        j = rng.randrange(n - len(partners))
+        for w in vertices:
+            if w >= v or j < w:
+                break
+            j += 1
+        img[v], img[j] = img[j], img[v]
+        partners.append(j)
+    return partners
+
+
+def _reference_draw(index, rng):
+    """_ViolationIndex.draw as it was written before its draw went straight
+    to getrandbits."""
+    key = sorted(index.bad)[rng.randrange(len(index.bad))]
+    return sorted(index.classes[key])[:2]
+
+
+def test_draws_match_randrange_draws():
+    """_swap and draw give the outcomes the randrange references give and
+    leave the generator in the same state, so they consume the same words."""
+    drawn = retries = 0
+    for seed in range(200):
+        setup = random.Random(seed)
+        n = setup.randint(4, 700)
+        vertices = sorted(setup.sample(range(n), setup.randint(1, 4)))
+        img = setup.sample(range(n), n)
+        ours, ref = random.Random(seed), random.Random(seed)
+        widths = []
+
+        def getrandbits(k):
+            widths.append(k)
+            return ours.getrandbits(k)
+
+        ours_img, ref_img = img[:], img[:]
+        assert sampler._swap(ours_img, vertices, getrandbits) == _reference_swap(ref_img, vertices, ref)
+        assert ours_img == ref_img and ours.getstate() == ref.getstate()
+        retries += len(widths) - len(vertices)
+
+        g = cycle_graph(setup.randint(3, 40))
+        n = g.n_vertices + setup.randint(0, 5)
+        chi = random_colouring(setup, n, setup.randint(1, 6))
+        index = sampler._ViolationIndex(setup.choice(["proper", "rainbow"]), g.sorted_edges(),
+                                        g.n_vertices, chi)
+        index.move(range(len(g.edges)), setup.sample(range(n), n))
+        if index.bad:
+            widths.clear()
+            assert index.draw(getrandbits) == _reference_draw(index, ref)
+            assert ours.getstate() == ref.getstate()
+            drawn += 1
+            retries += len(widths) - 1
+    assert drawn > 150 and retries > 50
