@@ -19,11 +19,11 @@ from .events import (
     CanonicalEvent,
     DependencyGraph,
     NeighbourhoodProfile,
-    clique_cover_proper,
     clique_cover_rainbow,
     conflict,
     enumerate_bad_events,
     event_probability,
+    graph_rates,
     intersection_graph,
     proper_profile_from_rates,
     verify_clique_bounds,

@@ -26,7 +26,7 @@ from .colouring import (
     save_colouring,
 )
 from .errors import CapacityError, DomainError, FormatError
-from .events import cherry_rates
+from .events import graph_rates
 from .graph import cherry_stats, complete_graph, cycle_graph, load_graph, path_graph
 from .oracle import search_copy
 from .sampler import find_copy
@@ -62,7 +62,7 @@ def _print_json(document: dict) -> None:
 def _cmd_stats(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     stats = cherry_stats(g)
-    q, p = cherry_rates(stats, g.n_vertices)
+    _, q, p = graph_rates(g.n_vertices, stats=stats)
     _print_json(
         {
             "n": g.n_vertices,

@@ -39,8 +39,7 @@ __all__ = [
     "event_probability",
     "conflict",
     "intersection_graph",
-    "cherry_rates",
-    "clique_cover_proper",
+    "graph_rates",
     "proper_profile_from_rates",
     "clique_cover_rainbow",
     "verify_clique_bounds",
@@ -266,15 +265,20 @@ def proper_profile_from_rates(q, p, n: int, k) -> NeighbourhoodProfile:
     return NeighbourhoodProfile(3, {INTERSECTING: q * n2 * k}, {INTERSECTING: 3 * p * n2 * k})
 
 
-def cherry_rates(stats, n: int) -> tuple[int, Fraction]:
-    """The cherry rates (q, p) of a graph embedded in K_n: q is the
-    per-vertex cherry maximum and p = total_cherries / n."""
-    return stats.max_cherries_per_vertex, Fraction(stats.total_cherries, n)
-
-
-def clique_cover_proper(stats, n: int, k) -> NeighbourhoodProfile:
-    """Profile from cherry statistics, at their cherry_rates."""
-    return proper_profile_from_rates(*cherry_rates(stats, n), n, k)
+def graph_rates(n: int, *, delta=None, stats=None, q=None, p=None) -> tuple:
+    """(delta, q, p) of a graph in K_n from its one source: stats (max_degree,
+    max_cherries_per_vertex, total_cherries / n), delta (with the worst case
+    q = (3/2) delta^2, p = delta^2 / 2) or q and p (no degree).  Two sources,
+    half of (q, p) or n < 1 is a DomainError; the rules check the values."""
+    if (delta, stats, q).count(None) < 2 or (q is None) != (p is None):
+        raise DomainError("give one source of the graph: delta, stats, or both q and p")
+    if n < 1:
+        raise DomainError(f"n must be positive, got {n}")
+    if stats is not None:
+        return stats.max_degree, stats.max_cherries_per_vertex, Fraction(stats.total_cherries, n)
+    if delta is not None:
+        return delta, Fraction(3 * delta * delta, 2), Fraction(delta * delta, 2)
+    return None, q, p
 
 
 def clique_cover_rainbow(delta: int, n: int, k, event_type: str) -> NeighbourhoodProfile:
@@ -320,13 +324,13 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
     events = enumerate_bad_events(g, colouring, mode)
     n = colouring.n
     bounds_meta = boundedness(colouring)
+    delta, q, p = graph_rates(n, stats=cherry_stats(g))
     if mode == "proper":
         k = bounds_meta.local_bound
-        profile = clique_cover_proper(cherry_stats(g), n, k)
+        profile = proper_profile_from_rates(q, p, n, k)
     else:
         k = bounds_meta.global_bound
-        delta = max(cherry_stats(g).max_degree, 1)
-        profile = clique_cover_rainbow(delta, n, k, INTERSECTING)
+        profile = clique_cover_rainbow(max(delta, 1), n, k, INTERSECTING)
 
     sides = (
         ("G-side", "graph vertex", profile.graph, [ev.g_support for ev in events]),

@@ -41,8 +41,8 @@ from .events import (
     INTERSECTING,
     DependencyGraph,
     NeighbourhoodProfile,
-    cherry_rates,
     clique_cover_rainbow,
+    graph_rates,
     proper_profile_from_rates,
     _as_fraction,
 )
@@ -383,26 +383,18 @@ def optimize_mu(p_by_class, clique_profile):
     return cert.parameters, cert
 
 
-def _resolve_qp(n: int, *, delta=None, stats=None, q=None, p=None) -> tuple[Fraction, Fraction]:
-    """Cherry rates (q, p) of the thm3 setting, resolved as certificate_inputs
-    says; a negative delta, q or p is a DomainError."""
-    if stats is not None:
-        q, p = cherry_rates(stats, n)
-    elif q is None or p is None:
-        if delta is None:
-            raise DomainError("thm3 needs cherry statistics, q and p, or a maximum degree")
-        q, p = Fraction(3, 2) * delta * delta, Fraction(delta * delta, 2)
+def _proper_rates(delta, q, p) -> tuple[Fraction, Fraction]:
+    """thm3's rates (q, p) of graph_rates' values; a DomainError when missing or negative."""
+    if q is None:
+        raise DomainError("thm3 needs cherry statistics, q and p, or a maximum degree")
     q, p = _as_fraction(q), _as_fraction(p)
     if min(q, p, delta or 0) < 0:
         raise DomainError(f"thm3 needs delta, q, p >= 0, got delta={delta}, q={q}, p={p}")
     return q, p
 
 
-def _degree(rule: str, delta, stats, least: int = 1) -> int:
-    """The maximum degree of a rule: delta, else the one in stats; a
-    DomainError when neither is given or it is below least."""
-    if delta is None and stats is not None:
-        delta = stats.max_degree
+def _degree(rule: str, delta, least: int = 1) -> int:
+    """The degree of graph_rates' values; a DomainError when missing or below least."""
     if delta is None:
         raise DomainError(f"{rule} needs a maximum degree")
     if delta < least:
@@ -410,17 +402,17 @@ def _degree(rule: str, delta, stats, least: int = 1) -> int:
     return delta
 
 
-def _bound(theorem: str, n: int, *, delta=None, stats=None, q=None, p=None) -> Fraction:
-    """The exact bound on k of thm3, thm5, thm7 or cor4, as threshold lists
-    it; threshold floors it and verify_paper_inequalities checks k against it."""
+def _bound(theorem: str, n: int, rates: tuple) -> Fraction:
+    """The exact bound on k of thm3, thm5, thm7 or cor4 at graph_rates' values;
+    threshold floors it and verify_paper_inequalities checks k against it."""
     if theorem == "thm5":
         return Fraction(n, 64)
     if theorem == "thm3":
-        q, p = _resolve_qp(n, delta=delta, stats=stats, q=q, p=p)
+        q, p = _proper_rates(*rates)
         if q + 3 * p <= 0:
             raise DomainError(f"thm3 needs q + 3p > 0 (a graph with cherries), got {q + 3 * p}")
         return PROPER_THRESHOLD_COEFF * (n - 2) / (q + 3 * p)
-    d2 = _degree(theorem, delta, stats) ** 2
+    d2 = _degree(theorem, rates[0]) ** 2
     return Fraction(n, 51 * d2) if theorem == "thm7" else Fraction(5 * (n - 2), 112 * d2)
 
 
@@ -431,21 +423,20 @@ def threshold(theorem: str, n: int, *, delta: int | None = None, stats=None, q=N
           (strict; bisection over [0, n])
 
     The other rules floor an exact bound, and 0 when it is negative:
-    thm3: (1/3)(5/6)^5 (n-2) / (q + 3p), locally bounded, proper;
-          the rates as in certificate_inputs
+    thm3: (1/3)(5/6)^5 (n-2) / (q + 3p), locally bounded, proper
     thm5: n / 64, bounded, rainbow cycles
     thm7: n / (51 * delta^2), bounded, rainbow
     cor4: (n - 2) / (22.4 * delta^2), locally bounded, proper
 
-    delta defaults to the maximum degree in stats.
+    The graph is given by one source, as events.graph_rates reads it: delta,
+    cherry statistics, or (thm3 only) q and p; thm5 reads none.
     """
     if theorem not in THEOREMS:
         raise DomainError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
+    rates = graph_rates(n, delta=delta, stats=stats, q=q, p=p)
     if theorem != "thm2":
-        return max(0, math.floor(_bound(theorem, n, delta=delta, stats=stats, q=q, p=p)))
-    delta = _degree(theorem, delta, stats, least=0)
+        return max(0, math.floor(_bound(theorem, n, rates)))
+    delta = _degree(theorem, rates[0], least=0)
     # the left side grows with k, so the k that satisfy it are a prefix
     lo, hi = 0, n
     while lo < hi:
@@ -462,24 +453,28 @@ def certificate_inputs(setting: str, n: int, k, *, delta: int | None = None,
     """Event probabilities and clique profile(s) of a reference certificate.
 
     setting "thm3" (proper copies): one intersecting event type, probability
-        1/(n)_3, profile proper_profile_from_rates(q, p, n, k).  The rates
-        come from stats, else from q and p, else from delta as its worst case
-        q = (3/2) delta^2, p = delta^2 / 2.
+        1/(n)_3, profile proper_profile_from_rates(q, p, n, k).
     setting "thm7" (rainbow copies): the intersecting and disjoint types,
-        probabilities 1/(n)_3 and 1/(n)_4, profiles clique_cover_rainbow;
-        delta defaults to the maximum degree in stats.
+        probabilities 1/(n)_3 and 1/(n)_4, profiles clique_cover_rainbow.
+    The graph is given by one source, as events.graph_rates reads it: delta,
+    cherry statistics, or (thm3 only) q and p.
 
     Returns (probabilities, profiles) in the form check_cluster_clique and
     optimize_mu take: one Fraction and one profile for thm3, mappings by
     event type for thm7.  k is not checked against the threshold.
     """
+    return _inputs(setting, n, k, graph_rates(n, delta=delta, stats=stats, q=q, p=p))
+
+
+def _inputs(setting: str, n: int, k, rates: tuple):
+    """certificate_inputs at graph_rates' (delta, q, p)."""
     if setting == "thm3":
         if n < 3:
             raise DomainError(f"thm3 needs n >= 3, got {n}")
-        q_val, p_val = _resolve_qp(n, delta=delta, stats=stats, q=q, p=p)
-        return Fraction(1, falling_factorial(n, 3)), proper_profile_from_rates(q_val, p_val, n, k)
+        profile = proper_profile_from_rates(*_proper_rates(*rates), n, k)
+        return Fraction(1, falling_factorial(n, 3)), profile
     if setting == "thm7":
-        delta = _degree(setting, delta, stats)
+        delta = _degree(setting, rates[0])
         if n < 4:
             raise DomainError(f"thm7 needs n >= 4, got {n}")
         probabilities = {
@@ -531,15 +526,15 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
     k = _as_fraction(k)
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
-    rule = {"delta": delta, "stats": stats, "q": q, "p": p}
-    bound = _bound(setting, n, **rule)
+    rates = graph_rates(n, delta=delta, stats=stats, q=q, p=p)
+    bound = _bound(setting, n, rates)
     if k > bound:
         raise DomainError(f"k={k} exceeds the {setting} bound {bound}")
-    probabilities, profiles = certificate_inputs(setting, n, k, **rule)
+    probabilities, profiles = _inputs(setting, n, k, rates)
     report: dict = {"setting": setting, "n": n, "k": k}
 
     if setting == "thm3":
-        q, p = _resolve_qp(n, **rule)
+        q, p = _proper_rates(*rates)
         mu = paper_mu_proper(n)
         product = _clique_factor(profiles.cliques(), {INTERSECTING: mu})
         direct = check_cluster_clique(probabilities, profiles, mu)

@@ -97,6 +97,14 @@ class TestThreshold:
         assert main(["threshold", "--theorem", "thm3", "--n", "1000", "--delta", "-2"]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("theorem", ["thm7", "cor4", "thm3"])
+    def test_graph_and_delta_exit_2(self, theorem, c5_file, capsys):
+        code = main(["threshold", "--theorem", theorem, "--n", "1020", "--graph", c5_file,
+                     "--delta", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
     def test_unknown_theorem_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["threshold", "--theorem", "thm9", "--n", "100"])
@@ -168,6 +176,40 @@ class TestCertify:
         assert doc["search"] == ({"evaluations": 3025, "scorings": 6050} if mode == "rainbow"
                                  else {"evaluations": 55, "scorings": 55})
         assert code == (0 if cert.holds else 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "rainbow", "--n", "1020", "--delta", "2", "--q", "3", "--p", "1", "--k", "5"],
+        ["--mode", "proper", "--n", "1000", "--delta", "2", "--q", "3", "--k", "11"],
+        ["--mode", "proper", "--n", "1000", "--delta", "2", "--p", "1", "--k", "11",
+         "--search-mu"],
+        ["--mode", "rainbow", "--n", "1020", "--delta", "1", "--k", "20", "--graph"],
+        ["--mode", "proper", "--n", "1020", "--delta", "1", "--k", "20", "--graph"],
+        ["--mode", "proper", "--n", "1020", "--q", "3", "--p", "1", "--k", "20", "--graph"],
+        ["--mode", "rainbow", "--n", "1020", "--delta", "1", "--k", "4", "--search-mu",
+         "--graph"],
+    ])
+    def test_two_sources_exit_2(self, argv, c5_file, capsys):
+        if argv[-1] == "--graph":
+            argv = [*argv, c5_file]
+        assert main(["certify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+
+    def test_c5_rainbow_with_a_smaller_delta_is_not_certified(self, c5_file, capsys):
+        # C_5 has maximum degree 2: k = 20 is beyond its thm7 bound 1020/204,
+        # and a --delta 1 beside the graph no longer hides that
+        argv = ["certify", "--mode", "rainbow", "--n", "1020", "--graph", c5_file, "--k", "20"]
+        assert main(argv) == 2
+        assert "k=20 exceeds the thm7 bound 5" in capsys.readouterr().err
+        assert main([*argv, "--delta", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_nonpositive_n_with_a_graph_exit_2(self, c5_file, capsys):
+        # the cherry rate total_cherries / n used to divide by zero here
+        assert main(["certify", "--mode", "proper", "--n", "0", "--graph", c5_file,
+                     "--k", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
 
     def test_proper_negative_delta_exit_2(self, capsys):
         code = main(["certify", "--mode", "proper", "--n", "1000", "--delta", "-2", "--k", "11",

@@ -12,7 +12,6 @@ from rainbowcopy import (
     CanonicalEvent,
     DependencyGraph,
     cherry_stats,
-    clique_cover_proper,
     clique_cover_rainbow,
     conflict,
     constant_colouring,
@@ -22,8 +21,10 @@ from rainbowcopy import (
     event_probability,
     falling_factorial,
     gen_k_bounded,
+    graph_rates,
     intersection_graph,
     path_graph,
+    proper_profile_from_rates,
     verify_clique_bounds,
 )
 from rainbowcopy.events import DISJOINT, INTERSECTING
@@ -223,23 +224,46 @@ class TestIntersectionGraph:
                         assert j in dep.adjacency[i]
 
 
+def proper_profile(stats, n, k):
+    """The proper profile at the cherry rates of stats."""
+    _, q, p = graph_rates(n, stats=stats)
+    return proper_profile_from_rates(q, p, n, k)
+
+
+class TestGraphRates:
+    def test_each_source(self):
+        stats = cherry_stats(cycle_graph(5))
+        assert graph_rates(1000, stats=stats) == (2, 3, Fraction(5, 1000))
+        assert graph_rates(1000, delta=2) == (2, 6, 2)
+        assert graph_rates(1000, q=3, p=Fraction(1, 2)) == (None, 3, Fraction(1, 2))
+        assert graph_rates(1000) == (None, None, None)
+
+    def test_values_are_left_to_the_rules(self):
+        assert graph_rates(1000, delta=-1) == (-1, Fraction(3, 2), Fraction(1, 2))
+        assert graph_rates(1000, q=-1, p=0) == (None, -1, 0)
+
+    def test_nonpositive_n_rejected(self):
+        with pytest.raises(DomainError):
+            graph_rates(0, stats=cherry_stats(cycle_graph(5)))
+
+
 class TestCliqueCovers:
     def test_proper_example(self):
         stats = type(cherry_stats(path_graph(3)))(
             total_cherries=1, max_cherries_per_vertex=1, max_degree=2, edge_count=2
         )
-        profile = clique_cover_proper(stats, 5, 1)
+        profile = proper_profile(stats, 5, 1)
         assert profile.count == 3
         assert profile.graph == {INTERSECTING: 20}
         assert profile.image == {INTERSECTING: 12}
 
     def test_proper_k0(self):
         stats = cherry_stats(cycle_graph(5))
-        profile = clique_cover_proper(stats, 5, 0)
+        profile = proper_profile(stats, 5, 0)
         assert profile.cliques() == [(3, {INTERSECTING: 0}), (3, {INTERSECTING: 0})]
 
     def test_proper_c5(self):
-        profile = clique_cover_proper(cherry_stats(cycle_graph(5)), 5, 1)
+        profile = proper_profile(cherry_stats(cycle_graph(5)), 5, 1)
         assert profile.graph == {INTERSECTING: 60}
         assert profile.image == {INTERSECTING: 60}
 
@@ -272,7 +296,7 @@ class TestCliqueCovers:
             (4, {INTERSECTING: 150, DISJOINT: 1000}),
             (4, {INTERSECTING: 100, DISJOINT: 1000}),
         ]
-        proper = clique_cover_proper(cherry_stats(cycle_graph(5)), 5, 1)
+        proper = proper_profile(cherry_stats(cycle_graph(5)), 5, 1)
         assert proper.cliques() == [(3, {INTERSECTING: 60}), (3, {INTERSECTING: 60})]
 
     def test_bad_args(self):

@@ -14,7 +14,6 @@ from rainbowcopy import (
     check_cluster_clique,
     check_cluster_exact,
     cherry_stats,
-    clique_cover_proper,
     complete_graph,
     cycle_graph,
     falling_factorial,
@@ -31,6 +30,7 @@ from rainbowcopy.events import (
     INTERSECTING,
     NeighbourhoodProfile,
     clique_cover_rainbow,
+    graph_rates,
     proper_profile_from_rates,
 )
 from rainbowcopy import lll
@@ -460,7 +460,7 @@ def reference_cells() -> list[tuple]:
         for n in (5, 6, 9, 20, 77, 100, 316, 1000, 3162, 10**4, 3 * 10**4, 10**5):
             for _ in range(2):
                 rule = rng.choice(rules)
-                bound = lll._bound(setting, n, **rule)
+                bound = lll._bound(setting, n, graph_rates(n, **rule))
                 top = math.floor(bound)
                 ks = [top, max(top - 1, 0), top + 1, bound, bound * Fraction(rng.randint(1, 40), 16)]
                 cells.append((setting, n, ks[len(cells) % len(ks)], rule))
@@ -866,13 +866,14 @@ class TestCertificateInputs:
         stats = cherry_stats(cycle_graph(1000))
         prob, profile = certificate_inputs("thm3", 1000, 22, stats=stats)
         assert prob == Fraction(1, falling(1000, 3))
-        assert profile == clique_cover_proper(stats, 1000, 22)
+        _, q, p = graph_rates(1000, stats=stats)
+        assert profile == proper_profile_from_rates(q, p, 1000, 22)
         q, p = Fraction(3, 2) * 4, Fraction(4, 2)
         assert certificate_inputs("thm3", 1000, 11, delta=2) == (
             prob, proper_profile_from_rates(q, p, 1000, 11))
 
     def test_thm7_matches_the_events_profiles(self):
-        # the maximum degree comes from the statistics when delta is not given
+        # the statistics supply the maximum degree
         inputs = certificate_inputs("thm7", 204, 4, stats=cherry_stats(cycle_graph(5)))
         assert inputs == rainbow_cell(204, 2, 4)
 
@@ -888,6 +889,51 @@ class TestCertificateInputs:
     def test_rejected(self, setting, n, kwargs):
         with pytest.raises(DomainError):
             certificate_inputs(setting, n, 1, **kwargs)
+
+
+# Two sources of a graph's degree and rates, or half of (q, p): each rule
+# used to take one and drop the others without a word.
+C5_STATS = cherry_stats(cycle_graph(5))
+CLASHING_SOURCES = [
+    {"delta": 2, "stats": C5_STATS},
+    {"stats": C5_STATS, "q": 3, "p": 1},
+    {"stats": C5_STATS, "p": 1},
+    {"delta": 2, "q": 3, "p": 1},
+    {"delta": 2, "q": 3},
+    {"q": 3},
+    {"p": 1},
+]
+
+
+class TestOneSource:
+    @pytest.mark.parametrize("kwargs", CLASHING_SOURCES)
+    @pytest.mark.parametrize("theorem", lll.THEOREMS)
+    def test_threshold(self, theorem, kwargs):
+        with pytest.raises(DomainError):
+            threshold(theorem, 1020, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", CLASHING_SOURCES)
+    @pytest.mark.parametrize("setting", ["thm3", "thm7"])
+    def test_certificate_inputs(self, setting, kwargs):
+        with pytest.raises(DomainError):
+            certificate_inputs(setting, 1020, 1, **kwargs)
+
+    @pytest.mark.parametrize("kwargs", CLASHING_SOURCES)
+    @pytest.mark.parametrize("setting", ["thm3", "thm7"])
+    def test_verify_paper_inequalities(self, setting, kwargs):
+        with pytest.raises(DomainError):
+            verify_paper_inequalities(setting, n=1020, k=1, **kwargs)
+
+    def test_c5_with_a_smaller_delta_is_not_certified(self):
+        # C_5 has maximum degree 2, so k = 20 is beyond the thm7 bound 1020/204
+        with pytest.raises(DomainError, match="k=20 exceeds the thm7 bound 5"):
+            verify_paper_inequalities("thm7", n=1020, k=20, stats=C5_STATS)
+        with pytest.raises(DomainError, match="one source of the graph"):
+            verify_paper_inequalities("thm7", n=1020, k=20, stats=C5_STATS, delta=1)
+
+    def test_thm5_reads_no_source(self):
+        for kwargs in ({}, {"delta": -1}, {"stats": C5_STATS}, {"q": -1, "p": 1}):
+            assert threshold("thm5", 640, **kwargs) == 10
 
 
 @pytest.mark.parametrize("bad", ["abc", "1/0", float("nan"), float("inf"), float("-inf"), None])
