@@ -237,10 +237,10 @@ def gen_locally_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
     return _checked_colouring(n, table)
 
 
-def constant_colouring(n: int, colour: int = 0) -> EdgeColouring:
-    """Monochromatic colouring of K_n."""
+def constant_colouring(n: int) -> EdgeColouring:
+    """Monochromatic colouring of K_n, every edge of colour 0."""
     _check_size(n)
-    return EdgeColouring(n, [colour] * (n * (n - 1) // 2))
+    return EdgeColouring(n, [0] * (n * (n - 1) // 2))
 
 
 def distinct_colouring(n: int) -> EdgeColouring:

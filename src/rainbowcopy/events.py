@@ -177,17 +177,14 @@ class DependencyGraph:
             raise DomainError("vertex and adjacency lengths differ")
 
     @classmethod
-    def from_edges(
-        cls, n_vertices: int, edges: Iterable[tuple[int, int]], vertices: Sequence | None = None
-    ) -> DependencyGraph:
+    def from_edges(cls, n_vertices: int, edges: Iterable[tuple[int, int]]) -> DependencyGraph:
         adj: list[set[int]] = [set() for _ in range(n_vertices)]
         for i, j in edges:
             if i == j:
                 raise DomainError(f"self-loop at {i}")
             adj[i].add(j)
             adj[j].add(i)
-        verts = tuple(vertices) if vertices is not None else tuple(range(n_vertices))
-        return cls(verts, tuple(frozenset(s) for s in adj))
+        return cls(tuple(range(n_vertices)), tuple(frozenset(s) for s in adj))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -314,12 +311,12 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
 
     Enumerates all bad events and indexes them by (side, vertex, event
     type): the events of that type whose support on that side, graph
-    vertices or images, holds the vertex.  Every class is checked by one
-    rule: for each event E and each vertex x of E on a side, the size of
-    the index entry of x for type t stays within the side's bound for t.
-    Each index entry is also checked to be a clique of the intersection
-    graph.  Returns a report with per-class maxima and slack; report["ok"]
-    is False iff some bound is violated or some entry is not a clique.
+    vertices or images, holds the vertex.  Each index entry is one clique
+    of the cover, and each is checked once: its size stays within the
+    side's bound for its type, and its members are pairwise adjacent in the
+    intersection graph.  Returns a report with per-class maxima and slack
+    and one violation per failing clique; report["ok"] is False iff some
+    bound is violated or some entry is not a clique.
     """
     events = enumerate_bad_events(g, colouring, mode)
     n = colouring.n
@@ -332,56 +329,50 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
         k = bounds_meta.global_bound
         profile = clique_cover_rainbow(max(delta, 1), n, k, INTERSECTING)
 
-    sides = (
-        ("G-side", "graph vertex", profile.graph, [ev.g_support for ev in events]),
-        ("Kn-side", "image vertex", profile.image, [ev.image_support for ev in events]),
-    )
+    sides = {
+        "G-side": ("graph vertex", profile.graph, [ev.g_support for ev in events]),
+        "Kn-side": ("image vertex", profile.image, [ev.image_support for ev in events]),
+    }
     # one class per side and event type, named "<side>-<type>"
     classes = {
         f"{side}-{t}": {"bound": str(bound), "max_size": 0, "slack": None}
-        for side, _, bounds, _ in sides
+        for side, (_, bounds, _) in sides.items()
         for t, bound in bounds.items()
     }
+    violations: list[dict] = []
     report: dict = {
         "mode": mode,
         "n": n,
         "k": k,
         "n_events": len(events),
         "classes": classes,
-        "violations": [],
+        "violations": violations,
         "cliques_are_cliques": True,
         "ok": True,
     }
 
-    index: dict[tuple[str, int, str], set[int]] = {}
-    for side, _, _, supports in sides:
+    index: dict[tuple[str, int, str], list[int]] = {}
+    for side, (_, _, supports) in sides.items():
         for i, (ev, support) in enumerate(zip(events, supports)):
             for x in support:
-                index.setdefault((side, x, ev.type_tag), set()).add(i)
+                index.setdefault((side, x, ev.type_tag), []).append(i)
 
-    for i in range(len(events)):
-        for side, what, bounds, supports in sides:
-            for x in supports[i]:
-                for t, bound in bounds.items():
-                    size = len(index.get((side, x, t), ()))
-                    entry = classes[f"{side}-{t}"]
-                    entry["max_size"] = max(entry["max_size"], size)
-                    if size > bound:
-                        report["violations"].append(
-                            {"class": f"{side}-{t}", "size": size, "at": f"event {i}, {what} {x}"}
-                        )
-                        report["ok"] = False
-
-    # Cliqueness: the members of an entry share its vertex, so they must be
-    # pairwise adjacent in the intersection graph; this cross-checks the
-    # adjacency construction.
-    dep = intersection_graph(events)
+    # Each entry once: its size against its class bound, then cliqueness.
+    # The members of an entry share its vertex, so they must be pairwise
+    # adjacent in the intersection graph; this cross-checks the adjacency
+    # construction.
+    adjacency = intersection_graph(events).adjacency
     for key, members in index.items():
-        for a, b in combinations(sorted(members), 2):
-            if b not in dep.adjacency[a]:
-                report["cliques_are_cliques"] = False
-                report["ok"] = False
-                report["violations"].append({"class": "cliqueness", "at": f"index {key}"})
+        side, x, t = key
+        what, bounds, _ = sides[side]
+        tag, size = f"{side}-{t}", len(members)
+        classes[tag]["max_size"] = max(classes[tag]["max_size"], size)
+        if size > bounds[t]:
+            violations.append({"class": tag, "size": size, "at": f"{what} {x}"})
+        if any(b not in adjacency[a] for a, b in combinations(members, 2)):
+            report["cliques_are_cliques"] = False
+            violations.append({"class": "cliqueness", "at": f"index {key}"})
+    report["ok"] = not violations
 
     for entry in classes.values():
         entry["slack"] = str(_as_fraction(entry["bound"]) - entry["max_size"])

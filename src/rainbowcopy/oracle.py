@@ -1,10 +1,11 @@
 """Exact decision and counting of valid embeddings on small instances.
 
-A depth-first search with an explicit stack maps graph vertices in
-descending-degree order, each to the unused K_n vertices in ascending order,
-and prunes an image as soon as a freshly mapped edge files a conflict key
-that a mapped edge already holds (see _Backtracker).  These are the ground
-truth for the sampler and for the event-probability cross-checks.
+One depth-first search with an explicit stack, _search, maps graph vertices
+in descending-degree order, each to the unused K_n vertices in ascending
+order, and prunes an image as soon as a freshly mapped edge files a conflict
+key that a mapped edge already holds; search_copy, exists_copy and
+count_valid_embeddings all run it.  These are the ground truth for the
+sampler and for the event-probability cross-checks.
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ DEFAULT_NODE_BUDGET = 10**8
 COUNT_N_CAP = 8
 
 
-class _Backtracker:
-    """Search over the injections of g into K_n, one node per tried image.
+def _search(
+    g: Graph, colouring: EdgeColouring, mode: str, node_budget: int, count_all: bool
+) -> tuple[int, list[int], int]:
+    """(count, image, nodes): the number of valid injections of g into K_n,
+    and the nodes explored.  Unless count_all, the search stops at the first
+    valid injection and leaves it in image.
 
     A mapped edge of colour c files the key c in rainbow mode, and the keys
     (c, u) and (c, v) at its ends u and v in proper mode; an image whose new
@@ -42,72 +47,60 @@ class _Backtracker:
     under CPython 3.11 on one core of a shared x86 machine, so
     DEFAULT_NODE_BUDGET takes two to three minutes.
     """
-
-    def __init__(self, g: Graph, colouring: EdgeColouring, mode: str, node_budget: int):
-        if mode not in ("proper", "rainbow"):
-            raise DomainError(f"unknown mode {mode!r}")
-        if g.n_vertices > colouring.n:
-            raise DomainError(f"cannot embed {g.n_vertices} vertices into K_{colouring.n}")
-        self.g = g
-        self.colouring = colouring
-        self.mode = mode
-        self.node_budget = node_budget
-        self.nodes = 0
-        self.order = sorted(range(g.n_vertices), key=lambda v: (-g.degrees[v], v))
-        self.image = [0] * g.n_vertices
-
-    def search(self, count_all: bool) -> int:
-        """Number of valid injections; stops at the first one, left in
-        self.image, unless count_all."""
-        order, n = self.order, self.colouring.n
-        table, off = self.colouring.table, row_offsets(n)
-        rank = {v: d for d, v in enumerate(order)}
-        earlier = [[u for u in self.g.adjacency[v] if rank[u] < d] for d, v in enumerate(order)]
-        # the conflict keys that an edge uv of colour c files
-        rainbow = self.mode == "rainbow"
-        keys_of = (lambda c, u, v: (c,)) if rainbow else (lambda c, u, v: ((c, u), (c, v)))
-        image, used, keys = self.image, set(), set()
-        filed: list[set] = []  # the keys filed by each mapped vertex, in order
-        total = start = 0
-        while True:
-            depth = len(filed)
-            if depth == len(order):
-                total += 1
-                if not count_all:
-                    return total
-            else:
-                v = order[depth]
-                for w in range(start, n):
-                    if w in used:
-                        continue
-                    self.nodes += 1
-                    if self.nodes > self.node_budget:
-                        raise CapacityError(f"node budget {self.node_budget} exhausted")
-                    fresh = set()
-                    for u in earlier[depth]:
-                        a = image[u]
-                        filing = keys_of(table[off[w] + a] if w < a else table[off[a] + w], u, v)
-                        if not (keys.isdisjoint(filing) and fresh.isdisjoint(filing)):
-                            break  # a key filed twice: try the next image
-                        fresh.update(filing)
-                    else:
-                        break  # no conflict: map v to w
-                else:
-                    fresh = None
-                if fresh is not None:
-                    image[v] = w
-                    used.add(w)
-                    keys |= fresh
-                    filed.append(fresh)
-                    start = 0
+    if mode not in ("proper", "rainbow"):
+        raise DomainError(f"unknown mode {mode!r}")
+    n = colouring.n
+    if g.n_vertices > n:
+        raise DomainError(f"cannot embed {g.n_vertices} vertices into K_{n}")
+    order = sorted(range(g.n_vertices), key=lambda v: (-g.degrees[v], v))
+    table, off = colouring.table, row_offsets(n)
+    rank = {v: d for d, v in enumerate(order)}
+    earlier = [[u for u in g.adjacency[v] if rank[u] < d] for d, v in enumerate(order)]
+    # the conflict keys that an edge uv of colour c files
+    rainbow = mode == "rainbow"
+    keys_of = (lambda c, u, v: (c,)) if rainbow else (lambda c, u, v: ((c, u), (c, v)))
+    image, used, keys = [0] * g.n_vertices, set(), set()
+    filed: list[set] = []  # the keys filed by each mapped vertex, in order
+    total = start = nodes = 0
+    while True:
+        depth = len(filed)
+        if depth == len(order):
+            total += 1
+            if not count_all:
+                return total, image, nodes
+        else:
+            v = order[depth]
+            for w in range(start, n):
+                if w in used:
                     continue
-            # backtrack: unmap the last mapped vertex and try its next image
-            if not filed:
-                return total
-            keys.difference_update(filed.pop())
-            w = image[order[len(filed)]]
-            used.discard(w)
-            start = w + 1
+                nodes += 1
+                if nodes > node_budget:
+                    raise CapacityError(f"node budget {node_budget} exhausted")
+                fresh = set()
+                for u in earlier[depth]:
+                    a = image[u]
+                    filing = keys_of(table[off[w] + a] if w < a else table[off[a] + w], u, v)
+                    if not (keys.isdisjoint(filing) and fresh.isdisjoint(filing)):
+                        break  # a key filed twice: try the next image
+                    fresh.update(filing)
+                else:
+                    break  # no conflict: map v to w
+            else:
+                fresh = None
+            if fresh is not None:
+                image[v] = w
+                used.add(w)
+                keys |= fresh
+                filed.append(fresh)
+                start = 0
+                continue
+        # backtrack: unmap the last mapped vertex and try its next image
+        if not filed:
+            return total, image, nodes
+        keys.difference_update(filed.pop())
+        w = image[order[len(filed)]]
+        used.discard(w)
+        start = w + 1
 
 
 def search_copy(
@@ -115,9 +108,8 @@ def search_copy(
 ) -> tuple[Embedding | None, int]:
     """A valid embedding if one exists, else None, and the number of nodes
     the search explored.  Exhaustive; intended for small n."""
-    backtracker = _Backtracker(g, colouring, mode, node_budget)
-    found = backtracker.search(count_all=False)
-    return (Embedding(tuple(backtracker.image), mode) if found else None), backtracker.nodes
+    found, image, nodes = _search(g, colouring, mode, node_budget, count_all=False)
+    return (Embedding(tuple(image), mode) if found else None), nodes
 
 
 def exists_copy(
@@ -134,7 +126,7 @@ def count_valid_embeddings(
     """Exact number of valid injections.  Guarded at n <= 8."""
     if colouring.n > COUNT_N_CAP:
         raise CapacityError(f"counting is capped at n <= {COUNT_N_CAP}, got {colouring.n}")
-    return _Backtracker(g, colouring, mode, node_budget).search(count_all=True)
+    return _search(g, colouring, mode, node_budget, count_all=True)[0]
 
 
 def count_injections_in_event(event: CanonicalEvent, g_size: int, n: int) -> int:

@@ -17,7 +17,7 @@ from rainbowcopy import (
 from rainbowcopy import cli
 from rainbowcopy.cli import main
 from rainbowcopy.colouring import MAX_VERTICES
-from rainbowcopy.oracle import DEFAULT_NODE_BUDGET, _Backtracker
+from rainbowcopy.oracle import search_copy
 
 
 def write_graph(path, g):
@@ -317,19 +317,19 @@ class TestGenFindOracle:
         col.write_text(save_colouring(chi), encoding="utf-8")
         code = main(["oracle", "--graph", str(graph_file), "--colouring", str(col),
                      "--mode", "rainbow"])
-        backtracker = _Backtracker(cycle_graph(4), chi, "rainbow", DEFAULT_NODE_BUDGET)
-        assert backtracker.search(count_all=False) == found
+        embedding, nodes = search_copy(cycle_graph(4), chi, "rainbow")
+        assert (embedding is not None) == found
         captured = capsys.readouterr()
         if found:
             assert code == 0
             doc = json.loads(captured.out)
-            assert doc == {"image_of": backtracker.image, "mode": "rainbow",
-                           "nodes": backtracker.nodes}
+            assert doc == {"image_of": list(embedding.image_of), "mode": "rainbow",
+                           "nodes": nodes}
         else:
             assert code == 1
             assert captured.out == "no valid embedding\n"
-            assert captured.err == f"nodes: {backtracker.nodes}\n"
-        assert backtracker.nodes > 0
+            assert captured.err == f"nodes: {nodes}\n"
+        assert nodes > 0
 
     def test_oracle_on_a_long_path(self, tmp_path, capsys):
         # deeper than the interpreter's recursion limit in graph vertices

@@ -11,6 +11,7 @@ from rainbowcopy import (
     Graph,
     CanonicalEvent,
     DependencyGraph,
+    NeighbourhoodProfile,
     cherry_stats,
     clique_cover_rainbow,
     conflict,
@@ -27,6 +28,7 @@ from rainbowcopy import (
     proper_profile_from_rates,
     verify_clique_bounds,
 )
+from rainbowcopy import events as events_module
 from rainbowcopy.events import DISJOINT, INTERSECTING
 from rainbowcopy.oracle import count_injections_in_event
 
@@ -349,6 +351,29 @@ def brute_force_class_maxima(g, colouring, mode):
     return maxima
 
 
+def brute_force_cliques(g, colouring, mode):
+    """{(class, vertex label): size} of every non-empty clique, recomputed
+    from the partial maps: for a side, an event type t and a vertex x, the
+    type-t events whose support on that side holds x."""
+    events = enumerate_bad_events(g, colouring, mode)
+    types = [INTERSECTING] if mode == "proper" else [INTERSECTING, DISJOINT]
+    sizes = {}
+    for side, what, support in (
+        ("G-side", "graph vertex", lambda ev: set(ev.partial_map())),
+        ("Kn-side", "image vertex", lambda ev: set(ev.partial_map().values())),
+    ):
+        for t in types:
+            for x in range(colouring.n):
+                size = sum(t == f.type_tag and x in support(f) for f in events)
+                if size:
+                    sizes[f"{side}-{t}", f"{what} {x}"] = size
+    return sizes
+
+
+def by_class_and_vertex(violations):
+    return sorted(violations, key=lambda v: (v["class"], v["at"]))
+
+
 class TestVerifyCliqueBounds:
     def test_p3_monochromatic(self):
         report = verify_clique_bounds(path_graph(3), constant_colouring(3), "proper")
@@ -384,6 +409,37 @@ class TestVerifyCliqueBounds:
             report = verify_clique_bounds(g, chi, mode)
             got = {tag: entry["max_size"] for tag, entry in report["classes"].items()}
             assert got == brute_force_class_maxima(g, chi, mode)
+
+    @pytest.mark.parametrize("g, colouring, mode", [case[:3] for case in PINNED_CLASSES],
+                             ids=["c4-rainbow", "p3-proper", "p4-rainbow"])
+    def test_bounds_below_the_maxima_give_one_violation_per_overfull_clique(
+        self, g, colouring, mode, monkeypatch
+    ):
+        maxima = brute_force_class_maxima(g, colouring, mode)
+        below = {"G-side": {}, "Kn-side": {}}
+        for tag, size in maxima.items():
+            side, t = tag.rsplit("-", 1)
+            below[side][t] = Fraction(size - 1)
+        profile = NeighbourhoodProfile(3, below["G-side"], below["Kn-side"])
+        monkeypatch.setattr(events_module, "clique_cover_rainbow", lambda *args: profile)
+        monkeypatch.setattr(events_module, "proper_profile_from_rates", lambda *args: profile)
+        report = verify_clique_bounds(g, colouring, mode)
+        expected = [{"class": tag, "size": size, "at": at}
+                    for (tag, at), size in brute_force_cliques(g, colouring, mode).items()
+                    if size == maxima[tag]]
+        assert expected
+        assert not report["ok"] and report["cliques_are_cliques"]
+        assert by_class_and_vertex(report["violations"]) == by_class_and_vertex(expected)
+
+    def test_an_edgeless_intersection_graph_fails_cliqueness(self, monkeypatch):
+        g, colouring, mode = cycle_graph(4), gen_k_bounded(6, 2, 9), "rainbow"
+        monkeypatch.setattr(events_module, "intersection_graph",
+                            lambda events: DependencyGraph.from_edges(len(events), []))
+        report = verify_clique_bounds(g, colouring, mode)
+        assert not report["cliques_are_cliques"] and not report["ok"]
+        # one record per clique of two or more members, and no size violation
+        pairs = [size for size in brute_force_cliques(g, colouring, mode).values() if size > 1]
+        assert [v["class"] for v in report["violations"]] == ["cliqueness"] * len(pairs)
 
 
 def test_dependency_graph_from_edges():
