@@ -13,13 +13,13 @@ a table under 540 MB.
 
 Colouring files stream in both directions.  save_colouring writes the
 header and then one row of edges at a time to a text stream (or returns
-the whole document as a str), and load_colouring reads a document, a str
-or a seekable text stream, in blocks of whole lines: a str is cut by
-slicing, a stream is read a block at a time.  Besides the table the
-loader makes one block and its tokens at a time, never a copy of the
-whole document.  Blocks in the order and form save_colouring writes go
-into the table in one slice each; any other order, orientation, spelling
-or comment is still accepted, line by line.
+the whole document as a str), each row filled in by a single %-format,
+and load_colouring reads a document, a str or a seekable text stream, in
+blocks of whole lines: a str is cut by slicing, a stream is read a block
+at a time.  Besides the table the loader makes one block and its tokens
+at a time, never a copy of the whole document.  Blocks in the order and
+form save_colouring writes go into the table in one slice each; any other
+order, orientation, spelling or comment is still accepted, line by line.
 
 Two boundedness measures matter: the *global* bound (largest number of
 edges sharing one colour anywhere in K_n) and the *local* bound (largest
@@ -33,7 +33,9 @@ place: the globally bounded one shuffles the table itself, and the locally
 bounded one the colours of the matchings of a round-robin
 1-factorization, which makes the local bound tight by construction instead
 of by rejection.  Neither makes a second table, and both skip the
-constructor's scan.
+constructor's scan.  The shuffle is Random.shuffle's loop written out
+over Random(seed).getrandbits, with the same draws in the same order, so a
+seed gives the colouring that Random(seed).shuffle would.
 """
 
 from __future__ import annotations
@@ -183,13 +185,26 @@ def boundedness(colouring: EdgeColouring) -> Boundedness:
 def _shuffled_colours(size: int, k: int, seed: int) -> array:
     """size colours in a uniformly random order: each colour c < size // k
     k times, and colour size // k on the size % k slots left over.  The
-    multiset is laid out a range at a time and shuffled in place with
-    Random(seed)."""
+    multiset is laid out a range at a time and shuffled in place.
+
+    The shuffle makes the calls of Random(seed).shuffle, whose algorithm
+    the random module does not promise to keep: for i from size - 1 down
+    to 1, j uniform in 0..i by redrawing getrandbits(bit length of i + 1)
+    until it is at most i, then swap cells i and j.  The colouring of a
+    seed depends on getrandbits alone.
+    """
     full, rest = divmod(size, k)
     colours = array("i", range(full))
     colours *= k
     colours.extend([full] * rest)
-    random.Random(seed).shuffle(colours)
+    getrandbits = random.Random(seed).getrandbits
+    for i in reversed(range(1, size)):
+        n = i + 1
+        bits = n.bit_length()
+        j = getrandbits(bits)
+        while j >= n:
+            j = getrandbits(bits)
+        colours[i], colours[j] = colours[j], colours[i]
     return colours
 
 
@@ -255,7 +270,9 @@ def save_colouring(colouring: EdgeColouring, out: TextIO | None = None) -> str |
     """Serialise to the text format accepted by load_colouring.
 
     With a text stream out, write the header and then one row of edges at
-    a time to it and return None; without one, return the document.
+    a time to it and return None; without one, return the document.  Row
+    u is one format string, "u v %d\\n" for each v > u, filled in with the
+    row's colours by a single %.
     """
     if out is None:
         out = io.StringIO()
@@ -263,13 +280,12 @@ def save_colouring(colouring: EdgeColouring, out: TextIO | None = None) -> str |
         return out.getvalue()
     n, table = colouring.n, colouring.table
     off = row_offsets(n)
-    tails = [f" {v} " for v in range(n)]
+    tails = [f" {v} %d\n" for v in range(n)]
     out.write(f"n {n}\n")
     for u in range(n - 1):
-        # row u: "u v c" for v > u, the " v " tails joined by "\nu"
+        # "u v %d\n" for each v > u
         head = str(u)
-        row = map(str, table[off[u] + u + 1 : off[u] + n])
-        out.write(head + ("\n" + head).join(map(str.__add__, tails[u + 1 :], row)) + "\n")
+        out.write((head + head.join(tails[u + 1 :])) % tuple(table[off[u] + u + 1 : off[u] + n]))
     return None
 
 

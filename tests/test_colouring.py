@@ -7,7 +7,7 @@ import tempfile
 import time
 import tracemalloc
 from collections import Counter
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, zip_longest
 from pathlib import Path
 from unittest.mock import patch
 
@@ -378,6 +378,46 @@ def test_saved_colourings_are_pinned(gen, n, k, seed, digest):
     out = io.StringIO()
     assert save_colouring(load_colouring(text), out) is None
     assert out.getvalue() == text
+
+
+# sizes where the draw's bit count changes, and every small size
+SHUFFLE_SIZES = sorted(set(range(71)) | {2**j + d for j in range(1, 13) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("k", [1, 3, 50])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 10**30])
+def test_shuffled_colours_match_random_shuffle(k, seed):
+    for size in SHUFFLE_SIZES:
+        full, rest = divmod(size, k)
+        layout = [c for _ in range(k) for c in range(full)] + [full] * rest
+        random.Random(seed).shuffle(layout)
+        assert colouring._shuffled_colours(size, k, seed).tolist() == layout, size
+
+
+def reference_save(chi: EdgeColouring) -> str:
+    n = chi.n
+    return f"n {n}\n" + "".join(
+        f"{u} {v} {c}\n" for (u, v), c in zip(combinations(range(n), 2), chi.table)
+    )
+
+
+@pytest.mark.parametrize("n", [*range(1, 41), 64, 65, 129])
+def test_save_colouring_matches_a_line_by_line_writer(n):
+    rng = random.Random(n)
+    table = [
+        rng.choice([0, 1, 10**6, COLOUR_MAX, rng.randrange(COLOUR_MAX + 1)])
+        for _ in range(n * (n - 1) // 2)
+    ]
+    chi = EdgeColouring(n, table)
+    text = reference_save(chi)
+    out = io.StringIO()
+    assert save_colouring(chi, out) is None
+    for written in (save_colouring(chi), out.getvalue()):
+        # line by line, so that a mismatch reports its first line quickly
+        for got, want in zip_longest(written.splitlines(True), text.splitlines(True)):
+            assert got == want
+    if n == 1:
+        assert text == "n 1\n"
 
 
 def reference_load(text: str) -> EdgeColouring:
