@@ -12,14 +12,13 @@ accessor EdgeColouring.colour.  n is capped at MAX_VERTICES, which keeps
 a table under 540 MB.
 
 Colouring files stream in both directions.  save_colouring writes the
-header and then one row of edges at a time to a text stream (or returns
-the whole document as a str), each row filled in by a single %-format,
-and load_colouring reads a document, a str or a seekable text stream, in
-blocks of whole lines: a str is cut by slicing, a stream is read a block
-at a time.  Besides the table the loader makes one block and its tokens
-at a time, never a copy of the whole document.  Blocks in the order and
-form save_colouring writes go into the table in one slice each; any other
-order, orientation, spelling or comment is still accepted, line by line.
+header and then each row of edges to a text stream (or returns the whole
+document as a str) through _rows, the one writer of the line format, and
+load_colouring reads a document, a str or a seekable text stream, in
+blocks of whole lines, never copying the whole document.  A block holding
+no '-' that _rows writes again from its first edge and its colour tokens
+goes into the table in one slice; any other order, orientation, comment
+or line ending is still accepted, line by line.
 
 Two boundedness measures matter: the *global* bound (largest number of
 edges sharing one colour anywhere in K_n) and the *local* bound (largest
@@ -269,10 +268,8 @@ def distinct_colouring(n: int) -> EdgeColouring:
 def save_colouring(colouring: EdgeColouring, out: TextIO | None = None) -> str | None:
     """Serialise to the text format accepted by load_colouring.
 
-    With a text stream out, write the header and then one row of edges at
-    a time to it and return None; without one, return the document.  Row
-    u is one format string, "u v %d\\n" for each v > u, filled in with the
-    row's colours by a single %.
+    With a text stream out, write the header and then the rows of edges,
+    one at a time, to it and return None; without one, return the document.
     """
     if out is None:
         out = io.StringIO()
@@ -280,71 +277,60 @@ def save_colouring(colouring: EdgeColouring, out: TextIO | None = None) -> str |
         return out.getvalue()
     n, table = colouring.n, colouring.table
     off = row_offsets(n)
-    tails = [f" {v} %d\n" for v in range(n)]
+    tails = _tails(n)
     out.write(f"n {n}\n")
     for u in range(n - 1):
-        # "u v %d\n" for each v > u
-        head = str(u)
-        out.write((head + head.join(tails[u + 1 :])) % tuple(table[off[u] + u + 1 : off[u] + n]))
+        out.write(_rows(tails, u, u + 1, table[off[u] + u + 1 : off[u] + n]))
     return None
 
 
-def _canonical_grammar(block: str, tokens: list[str]) -> bool:
-    """Whether block, split into tokens, matches the grammar
-    (?:[0-9]+ [0-9]+ [0-9]+\\n)* of save_colouring's lines.
-
-    It does when it is ASCII, its characters other than digits are "  \\n"
-    once per line, it ends in a line break (or is empty) and it has three
-    tokens per line, so that no token is empty.
-    """
-    lines = block.count("\n")
-    return (
-        block.isascii()
-        and block[-1:] in ("", "\n")
-        and len(tokens) == 3 * lines
-        and block.encode().translate(None, b"0123456789") == b"  \n" * lines
-    )
+def _tails(n: int) -> list[str]:
+    """What follows u in the line of edge (u, v), for each v < n."""
+    return [f" {v} %s\n" for v in range(n)]
 
 
-def _store_canonical(
-    block: str, names: list[str], n: int, off: tuple[int, ...], table: array
-) -> int:
-    """Store a block of lines written in save_colouring's order and form.
+def _rows(tails: list[str], u: int, v: int, colours) -> str:
+    """The "u v c\\n" lines of the len(colours) consecutive edges of K_n from
+    (u, v) on, tails = _tails(n).  Each row is one format string, u joined
+    with the tails of its edges, filled in with its colours by a single %."""
+    n, rows, done = len(tails), [], 0
+    while done < len(colours):
+        step = min(len(colours) - done, n - v)
+        head = str(u)
+        rows.append((head + head.join(tails[v : v + step])) % tuple(colours[done : done + step]))
+        done, u, v = done + step, u + 1, u + 2
+    return "".join(rows)
 
-    The block is taken whole, with no per-line Python, when it matches the
-    grammar, its endpoint tokens name consecutive edge ids from the edge of
-    its first line on, none of those edges is filled yet and every colour
-    fits the table.  Returns its number of lines, or 0 when it is anything
-    else and the per-line parser has to read it.
+
+def _store_canonical(block: str, tails: list[str], off: tuple[int, ...], table: array) -> int:
+    """Store a block of lines in save_colouring's order and form.
+
+    The block is taken whole, with no per-line Python, when its first edge
+    is in K_n, none of the edges it covers is filled yet, it holds no '-',
+    _rows writes it again from its first edge and its colour tokens, and
+    every colour fits the table.  Colours are read by int(), as the
+    per-line parser reads them, so "+5" and "007" are taken too.  Returns
+    the block's number of lines, or 0 when the per-line parser has to read
+    it.
     """
     tokens = block.split()
-    if not _canonical_grammar(block, tokens):
-        return 0
     count = len(tokens) // 3
-    us, vs = tokens[0::3], tokens[1::3]
-    try:
-        u, v = int(us[0]), int(vs[0])
-    except ValueError:  # past int()'s digit limit
+    if not count or "-" in block:
         return 0
-    if not 0 <= u < v < n:
+    try:
+        u, v = int(tokens[0]), int(tokens[1])
+    except ValueError:
+        return 0
+    if not 0 <= u < v < len(tails):
         return 0
     first = off[u] + v
     if first + count > len(table) or table[first : first + count].count(-1) != count:
         return 0
-    # the endpoint names of edges first .. first + count - 1, row by row
-    want_u: list[str] = []
-    want_v: list[str] = []
-    left = count
-    while left:
-        step = min(left, n - v)
-        want_u += [names[u]] * step
-        want_v += names[v : v + step]
-        left -= step
-        u, v = u + 1, u + 2
-    if us != want_u or vs != want_v:
+    colours = tokens[2::3]
+    if _rows(tails, u, v, colours) != block:
         return 0
     try:
-        table[first : first + count] = array("i", map(int, tokens[2::3]))
+        table[first : first + count] = array("i", map(int, colours))
     except (ValueError, OverflowError):
         return 0
     return count
@@ -443,10 +429,11 @@ def load_colouring(source: str | TextIO) -> EdgeColouring:
 
     The document is read twice, in blocks of whole lines.  The first pass
     finds the header and counts the lines, so a document too short for
-    K_N fails before the table is built.  In the second, a block in the
-    order and form of save_colouring goes into the table in one slice; any
-    other block (comments, blank lines, other orders or orientations,
-    CRLF, signs, errors) goes through the per-line parser.
+    K_N fails before the table is built.  In the second, a block that
+    save_colouring's row writer writes again goes into the table in one
+    slice (see _store_canonical); any other block (comments, blank lines,
+    other orders or orientations, CRLF, minus signs, errors) goes through
+    the per-line parser.
     """
     n, header_lineno, header_end = read_header(source)
     _check_size(n)
@@ -460,11 +447,11 @@ def load_colouring(source: str | TextIO) -> EdgeColouring:
                 f"K_{n} has {expected} edges"
             )
     off = row_offsets(n)
-    names = [str(v) for v in range(n)]
+    tails = _tails(n)
     table = array("i", [-1]) * expected
     lineno = header_lineno
     for block in _blocks(source, header_end):
-        count = _store_canonical(block, names, n, off, table)
+        count = _store_canonical(block, tails, off, table)
         if not count:
             block_lines = block.splitlines()
             _parse_lines(block_lines, lineno + 1, n, off, table)

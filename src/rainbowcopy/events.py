@@ -141,13 +141,17 @@ def enumerate_bad_events(
     return events
 
 
-def event_probability(event: CanonicalEvent, n: int) -> Fraction:
-    """Probability of the event under a uniform random injection into K_n.
+def event_probability(event_type: str, n: int) -> Fraction:
+    """Probability of an event of the type under a uniform random injection
+    into K_n.
 
-    1/(n)_s for the s vertices the event pins (3 intersecting, 4 disjoint),
-    independent of the size of the embedded graph; a DomainError when n < s.
+    1/(n)_s for the s vertices such an event pins (3 intersecting, 4
+    disjoint), independent of the size of the embedded graph; a DomainError
+    when n < s or the type is unknown.
     """
-    return Fraction(1, falling_factorial(n, len(event.g_support)))
+    if event_type not in (INTERSECTING, DISJOINT):
+        raise DomainError(f"unknown event type {event_type!r}")
+    return Fraction(1, falling_factorial(n, 3 if event_type == INTERSECTING else 4))
 
 
 def conflict(x: CanonicalEvent, y: CanonicalEvent) -> bool:

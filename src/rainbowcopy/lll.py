@@ -42,6 +42,7 @@ from .events import (
     DependencyGraph,
     NeighbourhoodProfile,
     clique_cover_rainbow,
+    event_probability,
     graph_rates,
     proper_profile_from_rates,
     _as_fraction,
@@ -472,15 +473,12 @@ def _inputs(setting: str, n: int, k, rates: tuple):
         if n < 3:
             raise DomainError(f"thm3 needs n >= 3, got {n}")
         profile = proper_profile_from_rates(*_proper_rates(*rates), n, k)
-        return Fraction(1, falling_factorial(n, 3)), profile
+        return event_probability(INTERSECTING, n), profile
     if setting == "thm7":
         delta = _degree(setting, rates[0])
         if n < 4:
             raise DomainError(f"thm7 needs n >= 4, got {n}")
-        probabilities = {
-            INTERSECTING: Fraction(1, falling_factorial(n, 3)),
-            DISJOINT: Fraction(1, falling_factorial(n, 4)),
-        }
+        probabilities = {t: event_probability(t, n) for t in (INTERSECTING, DISJOINT)}
         return probabilities, {t: clique_cover_rainbow(delta, n, k, t) for t in probabilities}
     raise DomainError(f"unknown setting {setting!r}; expected 'thm3' or 'thm7'")
 

@@ -170,7 +170,7 @@ def test_criterion_06_probability_formula_by_enumeration():
                 total = falling_factorial(n, g.n_vertices)
                 for ev in rng.sample(events, min(100, len(events))):
                     count = count_injections_in_event(ev, g.n_vertices, n)
-                    if Fraction(count, total) != event_probability(ev, n):
+                    if Fraction(count, total) != event_probability(ev.type_tag, n):
                         problems.append(f"mismatch for {ev} at n={n}")
                     checked += 1
     if checked < 2000:

@@ -2,10 +2,10 @@ import hashlib
 import io
 import math
 import random
-import re
 import tempfile
 import time
 import tracemalloc
+from array import array
 from collections import Counter
 from itertools import accumulate, combinations, zip_longest
 from pathlib import Path
@@ -29,7 +29,7 @@ from rainbowcopy import (
     save_colouring,
 )
 from rainbowcopy import colouring
-from rainbowcopy.colouring import COLOUR_MAX, MAX_VERTICES
+from rainbowcopy.colouring import COLOUR_MAX, MAX_VERTICES, row_offsets
 
 # colours of the K_4 edges 01, 02, 03, 12, 13, 23 (lexicographic order)
 # perfect matchings {01, 23}, {02, 13}, {03, 12} get colours 0, 1, 2
@@ -300,9 +300,26 @@ def test_boundedness_across_column_blocks(n, n_colours):
     assert boundedness(chi) == (max(by_colour.values(), default=0), local_bound, len(by_colour))
 
 
-# the grammar of save_colouring's lines as a regular expression, the
-# reference for colouring._canonical_grammar
-CANONICAL_BLOCK = re.compile(r"(?:[0-9]+ [0-9]+ [0-9]+\n)*")
+# load_colouring's block path is checked on an empty table of K_1000: a
+# block either stays out of the table or stores what the per-line parser
+# stores for the same lines
+BLOCK_N = 1000
+BLOCK_EDGES = BLOCK_N * (BLOCK_N - 1) // 2
+
+
+def store_block(block: str) -> int:
+    """colouring._store_canonical on an empty table of K_BLOCK_N, checked
+    against colouring._parse_lines; its return value."""
+    off = row_offsets(BLOCK_N)
+    table = array("i", [-1]) * BLOCK_EDGES
+    count = colouring._store_canonical(block, colouring._tails(BLOCK_N), off, table)
+    expected = array("i", [-1]) * BLOCK_EDGES
+    if count:
+        assert count == len(block.splitlines())
+        colouring._parse_lines(block.splitlines(), 1, BLOCK_N, off, expected)
+    assert table == expected
+    return count
+
 
 _GRAMMAR_CHARS = "0123456789 \n\r\t+-\u0663"
 _DIGITS = st.text(alphabet="0123456789", max_size=3)
@@ -320,7 +337,32 @@ _NEAR_LINE = st.builds(
 )
 
 
-@settings(max_examples=600, derandomize=True)
+@st.composite
+def _saved_block(draw):
+    """The lines of consecutive edges of K_BLOCK_N as save_colouring writes
+    them, across rows, some colours respelt with a sign or leading zeros,
+    and maybe one character changed."""
+    first = draw(st.integers(0, BLOCK_EDGES - 1))
+    count = draw(st.integers(1, min(2 * BLOCK_N, BLOCK_EDGES - first)))
+    prefixes = draw(st.sampled_from([[], ["+", "0", "00", "+0"], ["-", "-0"]]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    u, v = colouring._edge_of(BLOCK_N, first)
+    lines = []
+    for _ in range(count):
+        c = str(rng.randint(0, COLOUR_MAX))
+        if prefixes and rng.random() < 0.1:
+            c = rng.choice(prefixes) + c
+        lines.append(f"{u} {v} {c}\n")
+        u, v = (u, v + 1) if v + 1 < BLOCK_N else (u + 1, u + 2)
+    block = "".join(lines)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(block) - 1))
+        change = draw(st.sampled_from(["", "  ", "1", "\r", "-", "+", "\u0663", "2147483648"]))
+        block = block[:i] + change + block[i + 1 :]
+    return block
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
 @given(
     st.one_of(
         st.text(alphabet=_GRAMMAR_CHARS, max_size=24),
@@ -331,29 +373,47 @@ _NEAR_LINE = st.builds(
             st.builds("".join, st.lists(st.one_of(_CANONICAL_LINE, _NEAR_LINE), max_size=4)),
             _DIGITS,
         ),
+        _saved_block(),
     )
 )
-def test_canonical_grammar_agrees_with_the_regex(block):
-    expected = CANONICAL_BLOCK.fullmatch(block) is not None
-    assert colouring._canonical_grammar(block, block.split()) == expected
+def test_block_path_agrees_with_the_line_parser(block):
+    store_block(block)
 
 
-def test_canonical_grammar_edge_cases():
+def test_block_path_edge_cases():
+    last = f"{BLOCK_N - 2} {BLOCK_N - 1}"
     for block, expected in [
-        ("", True),
-        ("0 1 2\n", True),
-        ("10 11 12\n3 4 5\n", True),
-        ("1  2\n3", False),  # an empty token and a trailing digit make three tokens
-        ("1 2 3\n4", False),
-        ("1 2 3", False),
-        (" 1 2\n", False),
-        ("1 2 3 \n", False),
-        ("1 2 3\r\n", False),
-        ("1 2 \u0663\n", False),
-        ("0 1 \udc80\n", False),  # a lone surrogate, which str.encode refuses
+        ("", 0),
+        ("0 1 2\n", 1),
+        ("0 1 2\n0 2 3\n", 2),
+        (f"0 {BLOCK_N - 1} 4\n1 2 5\n1 3 6\n", 3),  # across a row's end
+        (f"{last} {COLOUR_MAX}\n", 1),
+        ("10 11 12\n3 4 5\n", 0),  # not consecutive edges
+        ("1 0 2\n", 0),
+        ("00 1 2\n", 0),  # only a colour may be respelt
+        ("0 1 +5\n0 2 007\n", 2),
+        ("0 1 \u0663\n", 1),  # int() reads non-ASCII digits, as the line parser does
+        ("1  2\n3", 0),  # an empty token and a trailing digit make three tokens
+        ("0 1 2\n4", 0),  # trailing digits with no line break
+        ("0 1 2", 0),
+        (" 0 1 2\n", 0),  # a leading space
+        ("0 1 2 \n", 0),  # a trailing space
+        ("0 1 2\r\n", 0),
+        ("0 1 2\n\n", 0),
+        ("0 1 \udc80\n", 0),  # a lone surrogate
+        ("0 1 -5\n", 0),
+        ("0 1 -0\n", 0),
+        (f"0 1 {COLOUR_MAX + 1}\n", 0),
+        (f"{last} 1\n{last} 1\n", 0),  # past the last edge
     ]:
-        assert (CANONICAL_BLOCK.fullmatch(block) is not None) == expected, block
-        assert colouring._canonical_grammar(block, block.split()) == expected, block
+        assert store_block(block) == expected, block
+
+
+def assert_same_lines(got: str, want: str) -> None:
+    """got == want, compared line by line, so that a mismatch reports its
+    first line quickly instead of diffing whole documents."""
+    for got_line, want_line in zip_longest(got.splitlines(True), want.splitlines(True)):
+        assert got_line == want_line
 
 
 def _digest(text: str) -> str:
@@ -374,10 +434,10 @@ def _digest(text: str) -> str:
 def test_saved_colourings_are_pinned(gen, n, k, seed, digest):
     text = save_colouring(gen(n, k, seed))
     assert _digest(text) == digest
-    assert save_colouring(load_colouring(text)) == text
+    assert_same_lines(save_colouring(load_colouring(text)), text)
     out = io.StringIO()
     assert save_colouring(load_colouring(text), out) is None
-    assert out.getvalue() == text
+    assert_same_lines(out.getvalue(), text)
 
 
 # sizes where the draw's bit count changes, and every small size
@@ -413,9 +473,7 @@ def test_save_colouring_matches_a_line_by_line_writer(n):
     out = io.StringIO()
     assert save_colouring(chi, out) is None
     for written in (save_colouring(chi), out.getvalue()):
-        # line by line, so that a mismatch reports its first line quickly
-        for got, want in zip_longest(written.splitlines(True), text.splitlines(True)):
-            assert got == want
+        assert_same_lines(written, text)
     if n == 1:
         assert text == "n 1\n"
 

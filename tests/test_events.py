@@ -115,20 +115,22 @@ class TestEventProbability:
     def test_formula_values(self):
         ev_int = CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2))
         ev_dis = CanonicalEvent((0, 1), (2, 3), (0, 1), (2, 3))
-        assert event_probability(ev_int, 5) == Fraction(1, 60)
-        assert event_probability(ev_dis, 5) == Fraction(1, 120)
+        assert event_probability(ev_int.type_tag, 5) == Fraction(1, 60)
+        assert event_probability(ev_dis.type_tag, 5) == Fraction(1, 120)
 
     def test_small_n_rejected(self):
         ev_dis = CanonicalEvent((0, 1), (2, 3), (0, 1), (2, 3))
         with pytest.raises(DomainError):
-            event_probability(ev_dis, 3)
+            event_probability(ev_dis.type_tag, 3)
+        with pytest.raises(DomainError):
+            event_probability("cherry", 5)
 
     def test_extension_count_p3_into_k4(self):
         events = enumerate_bad_events(path_graph(3), constant_colouring(4), "proper")
         ev = events[0]
         count = count_injections_in_event(ev, 3, 4)
         assert Fraction(count, falling_factorial(4, 3)) == Fraction(1, 24)
-        assert event_probability(ev, 4) == Fraction(1, 24)
+        assert event_probability(ev.type_tag, 4) == Fraction(1, 24)
 
     def test_extension_counts_match_formula(self):
         rng = random.Random(5)
@@ -138,7 +140,7 @@ class TestEventProbability:
             for ev in rng.sample(events, min(20, len(events))):
                 count = count_injections_in_event(ev, g.n_vertices, n)
                 total = falling_factorial(n, g.n_vertices)
-                assert Fraction(count, total) == event_probability(ev, n)
+                assert Fraction(count, total) == event_probability(ev.type_tag, n)
 
 
 class TestEventInvariants:

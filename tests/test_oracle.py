@@ -187,7 +187,7 @@ class TestInclusionExclusion:
         total = falling_factorial(6, 4)
         for ev in enumerate_bad_events(g, chi, "rainbow")[:50]:
             measure = count_injections_in_event(ev, 4, 6)
-            assert Fraction(measure, total) == event_probability(ev, 6)
+            assert Fraction(measure, total) == event_probability(ev.type_tag, 6)
 
 
 class TestSamplerConsistency:

@@ -94,7 +94,7 @@ def event_cells():
             events = enumerate_bad_events(g, chi, mode)
             yield dump(["events", n, sorted(g.edges), mode, [
                 [ev.e_pair, ev.f_pair, ev.a_pair, ev.b_pair, ev.type_tag,
-                 [cell(event_probability, ev, m) for m in (-1, 0, 2, 3, 4, n)]]
+                 [cell(event_probability, ev.type_tag, m) for m in (-1, 0, 2, 3, 4, n)]]
                 for ev in events
             ]])
             yield dump(["bounds", n, sorted(g.edges), mode, verify_clique_bounds(g, chi, mode)])
