@@ -17,7 +17,6 @@ from .events import (
     DISJOINT,
     INTERSECTING,
     CanonicalEvent,
-    DependencyGraph,
     NeighbourhoodProfile,
     clique_cover_rainbow,
     conflict,
@@ -50,7 +49,7 @@ from .lll import (
     threshold,
     verify_paper_inequalities,
 )
-from .oracle import count_injections_in_event, count_valid_embeddings, exists_copy
+from .oracle import count_valid_embeddings, exists_copy
 from .sampler import (
     Embedding,
     FindResult,

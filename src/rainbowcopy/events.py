@@ -7,9 +7,11 @@ vertex (they form a cherry) and *disjoint* otherwise.  The event list for a
 concrete colouring keeps exactly those pinnings whose two image edges share
 a colour.
 
-Certificates never materialise the full dependency graph at scale.  Instead
-the closed neighbourhood of every event in the intersection graph is covered
-by mixed cliques with analytic size bounds: one clique per event vertex on
+On small instances intersection_graph gives the dependency graph itself, as
+a tuple of neighbour sets, one per event; the exact checks in lll take that
+tuple.  Certificates never materialise it at scale.  Instead the closed
+neighbourhood of every event in the intersection graph is covered by mixed
+cliques with analytic size bounds: one clique per event vertex on
 the graph side (the events sharing that graph vertex) and one on the K_n side
 (the events sharing its image).  A NeighbourhoodProfile holds the number of
 event vertices and, per side, a size bound for each event type; the
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .colouring import EdgeColouring, boundedness, row_offsets
 from .errors import DomainError
@@ -33,7 +35,6 @@ __all__ = [
     "INTERSECTING",
     "DISJOINT",
     "CanonicalEvent",
-    "DependencyGraph",
     "NeighbourhoodProfile",
     "enumerate_bad_events",
     "event_probability",
@@ -169,39 +170,9 @@ def conflict(x: CanonicalEvent, y: CanonicalEvent) -> bool:
     return len(set(images)) != len(images)
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Events plus a symmetric adjacency relation over their indices."""
-
-    vertices: tuple
-    adjacency: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) != len(self.adjacency):
-            raise DomainError("vertex and adjacency lengths differ")
-
-    @classmethod
-    def from_edges(cls, n_vertices: int, edges: Iterable[tuple[int, int]]) -> DependencyGraph:
-        adj: list[set[int]] = [set() for _ in range(n_vertices)]
-        for i, j in edges:
-            if i == j:
-                raise DomainError(f"self-loop at {i}")
-            adj[i].add(j)
-            adj[j].add(i)
-        return cls(tuple(range(n_vertices)), tuple(frozenset(s) for s in adj))
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def neighbours(self, i: int) -> frozenset[int]:
-        return self.adjacency[i]
-
-    def closed_neighbourhood(self, i: int) -> frozenset[int]:
-        return self.adjacency[i] | {i}
-
-
-def intersection_graph(events: Sequence[CanonicalEvent]) -> DependencyGraph:
-    """Graph joining events that share a graph vertex or an image vertex.
+def intersection_graph(events: Sequence[CanonicalEvent]) -> tuple[frozenset[int], ...]:
+    """Adjacency of the graph joining events that share a graph vertex or an
+    image vertex: entry i is the set of indices of event i's neighbours.
 
     This is a supergraph of the conflict relation, hence still a negative
     dependency graph for the events.
@@ -214,7 +185,7 @@ def intersection_graph(events: Sequence[CanonicalEvent]) -> DependencyGraph:
             if g_supports[i] & g_supports[j] or img_supports[i] & img_supports[j]:
                 adj[i].add(j)
                 adj[j].add(i)
-    return DependencyGraph(tuple(events), tuple(frozenset(s) for s in adj))
+    return tuple(frozenset(s) for s in adj)
 
 
 @dataclass(frozen=True)
@@ -339,7 +310,7 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
     }
     # one class per side and event type, named "<side>-<type>"
     classes = {
-        f"{side}-{t}": {"bound": str(bound), "max_size": 0, "slack": None}
+        f"{side}-{t}": {"bound": bound, "max_size": 0, "slack": None}
         for side, (_, bounds, _) in sides.items()
         for t, bound in bounds.items()
     }
@@ -365,7 +336,7 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
     # The members of an entry share its vertex, so they must be pairwise
     # adjacent in the intersection graph; this cross-checks the adjacency
     # construction.
-    adjacency = intersection_graph(events).adjacency
+    adjacency = intersection_graph(events)
     for key, members in index.items():
         side, x, t = key
         what, bounds, _ = sides[side]
@@ -379,5 +350,6 @@ def verify_clique_bounds(g: Graph, colouring: EdgeColouring, mode: str) -> dict:
     report["ok"] = not violations
 
     for entry in classes.values():
-        entry["slack"] = str(_as_fraction(entry["bound"]) - entry["max_size"])
+        entry["slack"] = str(entry["bound"] - entry["max_size"])
+        entry["bound"] = str(entry["bound"])
     return report

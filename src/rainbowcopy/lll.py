@@ -4,7 +4,9 @@ The two cluster-expansion forms of the local lemma are checked, always
 against exact rationals where the inputs are rational:
 
   cluster (exact)    P(X_i) <= mu_i / Z_i, where Z_i sums prod(mu_j) over
-                     the independent subsets of the closed neighbourhood
+                     the independent subsets of the closed neighbourhood;
+                     it takes the events' adjacency as a tuple of
+                     neighbour sets
   cluster (clique)   the product relaxation of the exact form over a cover
                      of the closed neighbourhood by mixed cliques, with one
                      weight per event type (one type proper, two rainbow)
@@ -39,7 +41,6 @@ from .errors import CapacityError, DomainError
 from .events import (
     DISJOINT,
     INTERSECTING,
-    DependencyGraph,
     NeighbourhoodProfile,
     clique_cover_rainbow,
     event_probability,
@@ -137,7 +138,7 @@ class LLLCertificate:
 
 
 def _mu_of(mu_assignment, index: int):
-    if isinstance(mu_assignment, (Mapping, list, tuple)):
+    if isinstance(mu_assignment, (list, tuple)):
         return mu_assignment[index]
     return mu_assignment
 
@@ -145,22 +146,26 @@ def _mu_of(mu_assignment, index: int):
 NEIGHBOURHOOD_CAP = 25
 
 
-def independent_set_polynomial(dep: DependencyGraph, i: int, mu_assignment) -> Fraction:
+def independent_set_polynomial(
+    adjacency: tuple[frozenset[int], ...], i: int, mu_assignment
+) -> Fraction:
     """Sum over independent subsets R of the closed neighbourhood of i of
-    prod over j in R of mu_j.
+    prod over j in R of mu_j, where adjacency[j] is event j's neighbour set
+    (as intersection_graph returns it) and mu_assignment is a list or tuple
+    of weights by event, or one weight for all.
 
     The empty set contributes 1; on an edgeless neighbourhood of size m with
     constant mu this is (1 + mu)^m.  Exact enumeration, guarded at 25
     neighbourhood vertices.
     """
-    closed = sorted(dep.closed_neighbourhood(i))
+    closed = sorted(adjacency[i] | {i})
     if len(closed) > NEIGHBOURHOOD_CAP:
         raise CapacityError(
             f"closed neighbourhood of {i} has {len(closed)} vertices (cap {NEIGHBOURHOOD_CAP})"
         )
     local_index = {v: t for t, v in enumerate(closed)}
     local_adj = [
-        frozenset(local_index[w] for w in dep.neighbours(v) if w in local_index)
+        frozenset(local_index[w] for w in adjacency[v] if w in local_index)
         for v in closed
     ]
     mu_local = [_as_fraction(_mu_of(mu_assignment, v)) for v in closed]
@@ -181,11 +186,14 @@ def independent_set_polynomial(dep: DependencyGraph, i: int, mu_assignment) -> F
     return total(frozenset(range(len(closed))))
 
 
-def check_cluster_exact(probabilities, dep: DependencyGraph, mu_assignment) -> LLLCertificate:
-    """Exact cluster condition: P(X_i) <= mu_i / Z_i for every event."""
+def check_cluster_exact(
+    probabilities, adjacency: tuple[frozenset[int], ...], mu_assignment
+) -> LLLCertificate:
+    """Exact cluster condition: P(X_i) <= mu_i / Z_i for every event, over
+    the neighbour sets adjacency[i] that intersection_graph returns."""
     probs = [_as_fraction(p) for p in probabilities]
-    if len(probs) != len(dep):
-        raise DomainError("probabilities length differs from dependency graph size")
+    if len(probs) != len(adjacency):
+        raise DomainError("probabilities and adjacency differ in length")
     conditions = []
     mus = {}
     for i, p in enumerate(probs):
@@ -193,7 +201,7 @@ def check_cluster_exact(probabilities, dep: DependencyGraph, mu_assignment) -> L
         if mu_i <= 0:
             raise DomainError(f"mu must be positive, got {mu_i} at {i}")
         mus[f"mu_{i}"] = mu_i
-        z = independent_set_polynomial(dep, i, mu_assignment)
+        z = independent_set_polynomial(adjacency, i, mu_assignment)
         conditions.append(ConditionCheck(f"event {i}", p, mu_i / z))
     return LLLCertificate(
         variant="cluster-exact-10",

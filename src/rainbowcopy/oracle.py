@@ -5,16 +5,13 @@ in descending-degree order, each to the unused K_n vertices in ascending
 order, and prunes an image as soon as a freshly mapped edge files a conflict
 key that a mapped edge already holds; search_copy, exists_copy and
 count_valid_embeddings all run it.  These are the ground truth for the
-sampler and for the event-probability cross-checks.
+sampler.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
 from .colouring import EdgeColouring, row_offsets
 from .errors import CapacityError, DomainError
-from .events import CanonicalEvent
 from .graph import Graph
 from .sampler import Embedding
 
@@ -22,7 +19,6 @@ __all__ = [
     "exists_copy",
     "search_copy",
     "count_valid_embeddings",
-    "count_injections_in_event",
     "DEFAULT_NODE_BUDGET",
 ]
 
@@ -127,18 +123,3 @@ def count_valid_embeddings(
     if colouring.n > COUNT_N_CAP:
         raise CapacityError(f"counting is capped at n <= {COUNT_N_CAP}, got {colouring.n}")
     return _search(g, colouring, mode, node_budget, count_all=True)[0]
-
-
-def count_injections_in_event(event: CanonicalEvent, g_size: int, n: int) -> int:
-    """Number of injections of g_size vertices into K_n extending the
-    event's partial map, by brute-force membership testing."""
-    if n > COUNT_N_CAP:
-        raise CapacityError(f"event counting is capped at n <= {COUNT_N_CAP}, got {n}")
-    pmap = event.partial_map()
-    if any(v >= g_size for v in pmap) or any(w >= n for w in pmap.values()):
-        raise DomainError("event does not fit the requested injection space")
-    hits = 0
-    for sigma in permutations(range(n), g_size):
-        if all(sigma[v] == w for v, w in pmap.items()):
-            hits += 1
-    return hits

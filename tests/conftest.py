@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
-from rainbowcopy import EdgeColouring, Graph
+from rainbowcopy import CanonicalEvent, DomainError, EdgeColouring, Graph
 
 
 def random_graph(rng: random.Random, n: int, edge_prob: float = 0.4,
@@ -29,3 +30,25 @@ def random_colouring(rng: random.Random, n: int, n_colours: int) -> EdgeColourin
     """Uniform random colour per edge from a palette of n_colours, drawn in
     lexicographic edge order."""
     return EdgeColouring(n, [rng.randrange(n_colours) for _ in range(n * (n - 1) // 2)])
+
+
+def adjacency_from_edges(n: int, edges) -> tuple[frozenset[int], ...]:
+    """Symmetric adjacency over vertices 0..n-1, in the form that
+    events.intersection_graph returns; a self-loop is a DomainError."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in edges:
+        if i == j:
+            raise DomainError(f"self-loop at {i}")
+        adj[i].add(j)
+        adj[j].add(i)
+    return tuple(frozenset(s) for s in adj)
+
+
+def count_injections_in_event(event: CanonicalEvent, g_size: int, n: int) -> int:
+    """Number of injections of g_size vertices into K_n that extend the
+    event's partial map, by testing every injection; for n <= 8 only."""
+    assert n <= 8, f"brute-force counting is for n <= 8, got {n}"
+    pmap = event.partial_map()
+    assert all(v < g_size for v in pmap) and all(w < n for w in pmap.values())
+    return sum(all(sigma[v] == w for v, w in pmap.items())
+               for sigma in permutations(range(n), g_size))

@@ -4,13 +4,17 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import random_colouring, random_graph
+from conftest import (
+    adjacency_from_edges,
+    count_injections_in_event,
+    random_colouring,
+    random_graph,
+)
 from rainbowcopy import (
     DomainError,
     EdgeColouring,
     Graph,
     CanonicalEvent,
-    DependencyGraph,
     NeighbourhoodProfile,
     cherry_stats,
     clique_cover_rainbow,
@@ -30,7 +34,6 @@ from rainbowcopy import (
 )
 from rainbowcopy import events as events_module
 from rainbowcopy.events import DISJOINT, INTERSECTING
-from rainbowcopy.oracle import count_injections_in_event
 
 TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
 # exactly one monochromatic pair of edges in K_4, and it is disjoint
@@ -199,20 +202,18 @@ class TestConflict:
 
 class TestIntersectionGraph:
     def test_empty(self):
-        dep = intersection_graph([])
-        assert len(dep) == 0
+        assert intersection_graph([]) == ()
 
     def test_disjoint_pair_no_edge(self):
         x = CanonicalEvent((0, 1), (1, 2), (0, 1), (1, 2))
         y = CanonicalEvent((3, 4), (4, 5), (3, 4), (4, 5))
-        dep = intersection_graph([x, y])
-        assert dep.adjacency == (frozenset(), frozenset())
+        assert intersection_graph([x, y]) == (frozenset(), frozenset())
 
     def test_p3_instance_is_complete(self):
         events = enumerate_bad_events(path_graph(3), constant_colouring(3), "proper")
-        dep = intersection_graph(events)
+        adjacency = intersection_graph(events)
         for i in range(6):
-            assert dep.neighbours(i) == frozenset(range(6)) - {i}
+            assert adjacency[i] == frozenset(range(6)) - {i}
 
     def test_conflict_implies_intersection(self):
         rng = random.Random(11)
@@ -221,11 +222,38 @@ class TestIntersectionGraph:
             g = random_graph(rng, rng.randint(3, n), edge_prob=0.6)
             chi = random_colouring(rng, n, 3)
             events = enumerate_bad_events(g, chi, "rainbow")[:40]
-            dep = intersection_graph(events)
+            adjacency = intersection_graph(events)
             for i in range(len(events)):
                 for j in range(i + 1, len(events)):
                     if conflict(events[i], events[j]):
-                        assert j in dep.adjacency[i]
+                        assert j in adjacency[i]
+
+    def test_joins_exactly_the_pairs_whose_supports_meet(self):
+        """Symmetric, loop-free, and i ~ j iff the two events share a graph
+        vertex or an image vertex, by brute force over all pairs.  The
+        instances hold pairs that meet on one side only, so neither side's
+        test can be dropped unseen."""
+        rng = random.Random(23)
+        seen = set()
+        for trial in range(24):
+            n = rng.randint(4, 6)
+            g = random_graph(rng, rng.randint(3, n), edge_prob=0.6)
+            mode = ("proper", "rainbow")[trial % 2]
+            events = enumerate_bad_events(g, random_colouring(rng, n, rng.randint(2, 6)), mode)
+            events = rng.sample(events, min(60, len(events)))
+            adjacency = intersection_graph(events)
+            assert len(adjacency) == len(events)
+            for i, x in enumerate(events):
+                assert i not in adjacency[i]
+                for j, y in enumerate(events):
+                    if i == j:
+                        continue
+                    sides = (bool(set(x.e_pair + x.f_pair) & set(y.e_pair + y.f_pair)),
+                             bool(set(x.a_pair + x.b_pair) & set(y.a_pair + y.b_pair)))
+                    seen.add(sides)
+                    assert (j in adjacency[i]) == any(sides), (x, y)
+                    assert (j in adjacency[i]) == (i in adjacency[j])
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def proper_profile(stats, n, k):
@@ -436,17 +464,10 @@ class TestVerifyCliqueBounds:
     def test_an_edgeless_intersection_graph_fails_cliqueness(self, monkeypatch):
         g, colouring, mode = cycle_graph(4), gen_k_bounded(6, 2, 9), "rainbow"
         monkeypatch.setattr(events_module, "intersection_graph",
-                            lambda events: DependencyGraph.from_edges(len(events), []))
+                            lambda events: adjacency_from_edges(len(events), []))
         report = verify_clique_bounds(g, colouring, mode)
         assert not report["cliques_are_cliques"] and not report["ok"]
         # one record per clique of two or more members, and no size violation
         pairs = [size for size in brute_force_cliques(g, colouring, mode).values() if size > 1]
         assert [v["class"] for v in report["violations"]] == ["cliqueness"] * len(pairs)
 
-
-def test_dependency_graph_from_edges():
-    dep = DependencyGraph.from_edges(3, [(0, 1), (1, 2)])
-    assert dep.closed_neighbourhood(1) == frozenset({0, 1, 2})
-    assert dep.neighbours(0) == frozenset({1})
-    with pytest.raises(DomainError):
-        DependencyGraph.from_edges(2, [(0, 0)])

@@ -5,13 +5,12 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_colouring, random_graph
+from conftest import count_injections_in_event, random_colouring, random_graph
 from rainbowcopy import (
     CapacityError,
     EdgeColouring,
     complete_graph,
     constant_colouring,
-    count_injections_in_event,
     count_valid_embeddings,
     cycle_graph,
     distinct_colouring,

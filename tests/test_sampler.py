@@ -356,7 +356,7 @@ def test_swap_step_is_a_resampling_oracle(g, n, mode, shapes):
     the uniform injection; (b) every bad event the step turns from false to
     true is adjacent to B in events.intersection_graph."""
     events = enumerate_bad_events(g, random_colouring(random.Random(n), n, 2), mode)
-    adjacency = intersection_graph(events).adjacency
+    adjacency = intersection_graph(events)
     index_of = {(ev.e_pair, ev.f_pair, ev.a_pair, ev.b_pair): i for i, ev in enumerate(events)}
     pairs = list(combinations(g.sorted_edges(), 2))
 
