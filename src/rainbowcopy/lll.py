@@ -16,11 +16,12 @@ checked conditions; each condition's verdict, the certificate's margin (the
 smallest RHS/LHS ratio) and its verdict are derived from them, never stored.
 Equality counts as holding.
 
-The mu search maximises the clique-form margin over the box [1e-12, 1e3]
-per weight.  In log mu the margin is log-concave, so a golden-section
-search per weight coordinate finds the optimum in the box; it runs in
-floats on two fixed weight axes, and the returned certificate is always
-re-evaluated in exact rational arithmetic at the chosen parameters.
+The clique form has one layout, which lists each distinct clique once; the
+exact check scores it in Fractions and the mu search in float logs.  The
+search maximises the margin over the box [1e-12, 1e3] per weight.  In log
+mu the margin is log-concave, so a golden-section search per weight
+coordinate finds the optimum in the box; it runs on two fixed weight axes,
+and the returned certificate is the exact check at the point found.
 
 The paper's two settings, thm3 (properly coloured copies) and thm7 (rainbow
 copies), are built in one place, certificate_inputs, from which the
@@ -211,61 +212,50 @@ def check_cluster_exact(
     )
 
 
-def _clique_terms(p_by_class, clique_profile) -> dict[str, tuple[Fraction, list]]:
-    """Normalise the clique form to {type s: (p_s, profile_s.cliques())}, types
-    in the order intersecting, disjoint, so that with the graph-side and the
-    image-side bounds of profile_s the condition for s reads
+def _clique_terms(p_by_class, clique_profile) -> tuple[list[tuple], dict[str, tuple]]:
+    """The clique form as (cliques, terms): terms maps each event type s, in
+    the order intersecting, disjoint, to (p_s, [(count, i)]), and cliques[i]
+    is a distinct clique, listed once, as its bound per type (0 where it
+    counts none), so that the condition for s reads
 
-        p_s <= mu_s / prod over the two sides (1 + sum_t mu_t * bound_t) ** count.
+        p_s <= mu_s / prod over (count, i) (1 + sum_t mu_t * bound_t of i) ** count.
 
-    A bare probability and profile are the one intersecting type."""
+    A bare probability and profile are the one intersecting type.  A
+    DomainError unless the probabilities and the profiles name the same
+    types, each p_s is in [0, 1] and each count and bound is >= 0."""
     if isinstance(clique_profile, NeighbourhoodProfile):
         p_by_class, clique_profile = {INTERSECTING: p_by_class}, {INTERSECTING: clique_profile}
     if not (isinstance(clique_profile, Mapping) and isinstance(p_by_class, Mapping)):
         raise DomainError("need a bare probability and profile, or mappings of both by event type")
-    terms = {
-        t: (_as_fraction(p_by_class[t]), clique_profile[t].cliques())
-        for t in (INTERSECTING, DISJOINT)
-        if t in clique_profile
-    }
-    counted = {t for _, cliques in terms.values() for _, bounds in cliques for t in bounds}
-    if not terms or len(terms) != len(clique_profile) or not counted <= terms.keys():
-        raise DomainError(f"need one profile per counted event type, got {list(clique_profile)}")
-    return terms
+    types = [t for t in (INTERSECTING, DISJOINT) if t in clique_profile]
+    if not types or len(types) != len(clique_profile) or p_by_class.keys() != clique_profile.keys():
+        raise DomainError(f"need one probability and one profile per event type, "
+                          f"got {list(p_by_class)} and {list(clique_profile)}")
+    index: dict[tuple, int] = {}
+    terms = {}
+    for s in types:
+        p = _as_fraction(p_by_class[s])
+        if not 0 <= p <= 1:
+            raise DomainError(f"need probabilities in [0, 1], got {p} for {s}")
+        uses = []
+        for count, bounds in clique_profile[s].cliques():
+            clique = tuple(_as_fraction(bounds.get(t, 0)) for t in types)
+            if bounds.keys() - clique_profile.keys() or type(count) is not int or min(count, *clique) < 0:
+                raise DomainError(f"need an int count and bounds >= 0 on types {types}, "
+                                  f"got {count} and {bounds}")
+            uses.append((count, index.setdefault(clique, len(index))))
+        terms[s] = (p, uses)
+    return list(index), terms
 
 
-def _clique_factor(cliques, mu_by_type) -> Fraction:
-    """prod over cliques (1 + sum_t mu_t * bound_t) ** count, for cliques
-    given as (count, {event type t: bound_t}) pairs, as
-    NeighbourhoodProfile.cliques() lists them."""
-    factor = Fraction(1)
-    for count, bounds in cliques:
-        factor *= sum((mu_by_type[t] * b for t, b in bounds.items()), Fraction(1)) ** count
-    return factor
-
-
-def check_cluster_clique(p_by_class, clique_profile, mu) -> LLLCertificate:
-    """Clique-cover relaxation of the exact cluster condition: for each event
-    type s, p_s <= mu_s / prod over mixed cliques (1 + sum_t mu_t * bound_t) ** count.
-
-    Inputs are mappings by event type, or a bare probability and profile for
-    the one intersecting type; mu is a mapping by type, a pair (mu_int,
-    mu_dis) or a bare weight.  The parameters are named mu, or mu_int and mu_dis.
-    """
-    terms = _clique_terms(p_by_class, clique_profile)
-    weights = mu
-    if not isinstance(mu, Mapping):
-        values = tuple(mu) if isinstance(mu, (tuple, list)) else (mu,)
-        weights = dict(zip(terms, values)) if len(values) == len(terms) else {}
-    if weights.keys() != terms.keys():
-        raise DomainError(f"need one weight per event type {list(terms)}, got {mu!r}")
-    mu_by_type = {t: _as_fraction(weights[t]) for t in terms}
-    if min(mu_by_type.values()) <= 0:
-        raise DomainError(f"mu must be positive, got {min(mu_by_type.values())}")
-
+def _clique_certificate(cliques, terms, mu_by_type) -> LLLCertificate:
+    """check_cluster_clique on _clique_terms' layout at positive Fraction
+    weights by type in terms order, each distinct clique's factor computed once."""
+    factors = [1 + sum(mu * b for mu, b in zip(mu_by_type.values(), clique) if b)
+               for clique in cliques]
     conditions = tuple(
-        ConditionCheck(event_type, p, mu_by_type[event_type] / _clique_factor(cliques, mu_by_type))
-        for event_type, (p, cliques) in terms.items()
+        ConditionCheck(s, p, mu_by_type[s] / math.prod(factors[i] ** count for count, i in uses))
+        for s, (p, uses) in terms.items()
     )
     one = len(terms) == 1
     names = dict.fromkeys(terms, "mu") if one else {INTERSECTING: "mu_int", DISJOINT: "mu_dis"}
@@ -275,6 +265,29 @@ def check_cluster_clique(p_by_class, clique_profile, mu) -> LLLCertificate:
         probabilities={t: p for t, (p, _) in terms.items()},
         conditions=conditions,
     )
+
+
+def check_cluster_clique(p_by_class, clique_profile, mu) -> LLLCertificate:
+    """Clique-cover relaxation of the exact cluster condition: for each event
+    type s, p_s <= mu_s / prod over mixed cliques (1 + sum_t mu_t * bound_t) ** count.
+
+    Inputs are mappings by event type, or a bare probability and profile for
+    the one intersecting type; mu is a mapping by type, a pair (mu_int,
+    mu_dis) or a bare weight.  The parameters are named mu, or mu_int and mu_dis.
+    Each distinct clique of _clique_terms' layout is scored once, although
+    the rainbow form lists each of its two cliques under both types.
+    """
+    cliques, terms = _clique_terms(p_by_class, clique_profile)
+    weights = mu
+    if not isinstance(mu, Mapping):
+        values = tuple(mu) if isinstance(mu, (tuple, list)) else (mu,)
+        weights = dict(zip(terms, values)) if len(values) == len(terms) else {}
+    if weights.keys() != terms.keys():
+        raise DomainError(f"need one weight per event type {list(terms)}, got {mu!r}")
+    mu_by_type = {t: _as_fraction(weights[t]) for t in terms}
+    if min(mu_by_type.values()) <= 0:
+        raise DomainError(f"mu must be positive, got {min(mu_by_type.values())}")
+    return _clique_certificate(cliques, terms, mu_by_type)
 
 
 # The weight box of optimize_mu, per coordinate.
@@ -326,35 +339,25 @@ def optimize_mu(p_by_class, clique_profile):
     coordinates.  So one golden-section search over [log MU_LO, log MU_HI]
     per weight finds the optimum, each probe of mu_int scored by a search
     over mu_dis.  Every probe is one evaluation of one flat margin on two
-    axes (-inf on the second for one weight), which scores each distinct
-    clique once, although the rainbow form lists each of its two cliques
-    under both types.  At 55 probes per weight that is 55 evaluations for
-    one weight and 3025 for two; cert.search counts them and the clique
-    scorings.  The search evaluates float logs of the terms of
-    check_cluster_clique, a clique's terms summed in axis order; the
-    returned certificate is that exact check at the point found.  An
-    optimum on the edge of the box is returned as the exact bound.  When
-    the optimum lies below MU_LO, as for the rainbow form at large n, the
-    certificate fails although the reference weights may hold.
+    axes (-inf on the second for one weight) over check_cluster_clique's
+    layout, each distinct clique scored once in float logs, its terms
+    summed in axis order.  At 55 probes per weight that is 55 evaluations
+    for one weight and 3025 for two; cert.search counts them and the clique
+    scorings.  The returned certificate is the exact check of that layout
+    at the point found.  An optimum on the edge of the box is returned as
+    the exact bound.  When the optimum lies below MU_LO, as for the rainbow
+    form at large n, the certificate fails although the reference weights
+    may hold.
 
     Returns (cert.parameters, cert); the certificate fails (margin < 1)
     when no feasible point exists.
     """
-    terms = _clique_terms(p_by_class, clique_profile)
-    # each distinct clique is one shape, its log bound per axis (the types in
-    # terms order, padded to two), -inf where it counts none: exp(-inf) = 0.0
-    axes = [*terms, None][:2]
-    shapes: dict[tuple[float, float], int] = {}
-
-    def shape_of(bounds) -> int:
-        key = tuple(_log(bounds[t]) if bounds.get(t) else -math.inf for t in axes)
-        return shapes.setdefault(key, len(shapes))
-
-    log_terms = [
-        (axis, _log(p), [(count, shape_of(bounds)) for count, bounds in cliques])
-        for axis, (p, cliques) in enumerate(terms.values())
-        if p
-    ]
+    cliques, terms = _clique_terms(p_by_class, clique_profile)
+    # each distinct clique's log bound per axis (the types in terms order,
+    # padded to two), -inf for a 0 bound: exp(-inf) = 0.0
+    log_bounds = [(*(_log(b) if b else -math.inf for b in clique), -math.inf)[:2]
+                  for clique in cliques]
+    log_terms = [(axis, _log(p), uses) for axis, (p, uses) in enumerate(terms.values()) if p]
     exp, log = math.exp, math.log
     evaluations = 0
 
@@ -362,16 +365,16 @@ def optimize_mu(p_by_class, clique_profile):
         nonlocal evaluations
         evaluations += 1
         scores = []
-        for b0, b1 in shapes:  # log(1 + exp(e0) + exp(e1)), scaled by max(0, e0, e1)
+        for b0, b1 in log_bounds:  # log(1 + exp(e0) + exp(e1)), scaled by max(0, e0, e1)
             e0, e1 = x0 + b0, x1 + b1
             top = e0 if e0 > e1 else e1
             top = top if top > 0.0 else 0.0
             scores.append(top + log(exp(-top) + exp(e0 - top) + exp(e1 - top)))
         x = (x0, x1)
         worst = math.inf
-        for axis, log_p, cliques in log_terms:
+        for axis, log_p, uses in log_terms:
             value = x[axis] - log_p
-            for count, i in cliques:
+            for count, i in uses:
                 value -= count * scores[i]
             worst = value if value < worst else worst
         return worst, x
@@ -386,9 +389,8 @@ def optimize_mu(p_by_class, clique_profile):
     # the rounding of exp, so their weights never leave it
     mus = [MU_LO if x == lo else MU_HI if x == hi else Fraction(math.exp(x))
            for x in point[:len(terms)]]
-    cert = check_cluster_clique(p_by_class, clique_profile, dict(zip(terms, mus)))
-    cert = replace(cert, search={"evaluations": evaluations,
-                                 "scorings": evaluations * len(shapes)})
+    cert = replace(_clique_certificate(cliques, terms, dict(zip(terms, mus))),
+                   search={"evaluations": evaluations, "scorings": evaluations * len(cliques)})
     return cert.parameters, cert
 
 
@@ -508,7 +510,7 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
 
     Both settings start from certificate_inputs; direct_certificate is
     check_cluster_clique on its output at the reference weights, and the
-    product factor is a clique factor of the same terms.
+    product factor is read off its conditions, as mu / rhs.
 
     setting "thm3" (proper copies, locally bounded):
         with mu = (6/5)^6/(n)_3 and k within the thm3 bound, check
@@ -538,12 +540,15 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
         raise DomainError(f"k={k} exceeds the {setting} bound {bound}")
     probabilities, profiles = _inputs(setting, n, k, rates)
     report: dict = {"setting": setting, "n": n, "k": k}
+    mu = paper_mu_proper(n) if setting == "thm3" else paper_mu_rainbow(n)
+    direct = check_cluster_clique(probabilities, profiles, mu)
+    # mu_s / rhs_s is the clique product of type s: for thm7 the factor of an event
+    # vertex's graph-side and image-side cliques to the power 3 or 4
+    products = [w / c.rhs for w, c in zip(direct.parameters.values(), direct.conditions)]
 
     if setting == "thm3":
         q, p = _proper_rates(*rates)
-        mu = paper_mu_proper(n)
-        product = _clique_factor(profiles.cliques(), {INTERSECTING: mu})
-        direct = check_cluster_clique(probabilities, profiles, mu)
+        product = products[0]
         steps = [
             ConditionCheck("k*mu bound", k * mu,
                            Fraction(2, 5) / (falling_factorial(n, 2) * (q + 3 * p))),
@@ -552,17 +557,13 @@ def verify_paper_inequalities(setting: str, *, n: int, k, delta: int | None = No
         ]
         report.update({"mu": mu, "q": q, "p": p})
     else:
-        mu = dict(zip((INTERSECTING, DISJOINT), paper_mu_rainbow(n)))
-        # an event vertex has one graph-side and one image-side mixed clique
-        prof = profiles[INTERSECTING]
-        product = _clique_factor([(1, prof.graph), (1, prof.image)], mu)
+        product = products[1] / products[0]
         lower = Fraction(51, 50 * n)
         steps = [
             ConditionCheck("product factor", product, Fraction(50, 51) * Fraction(14, 10)),
             ConditionCheck("p_dis boundary", probabilities[DISJOINT], lower**4),
             ConditionCheck("p_int boundary", probabilities[INTERSECTING], lower**3),
         ]
-        direct = check_cluster_clique(probabilities, profiles, mu)
         report.update(direct.parameters)
 
     report["product_factor"] = float(product)

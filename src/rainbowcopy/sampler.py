@@ -162,9 +162,9 @@ class _ViolationIndex:
     Members are edge ids into g.sorted_edges(), whose endpoints the index
     keeps as the int lists end_u and end_v.  A key is the image colour in
     rainbow mode; in proper mode an edge has two keys, colour * |V(G)| + u
-    and colour * |V(G)| + v.  key_u[e] and key_v[e] are the keys edge e is
-    filed under, -1 while it is not filed (key_v stays -1 in rainbow
-    mode), so taking an edge out needs no colour lookup.  A class is the
+    and colour * |V(G)| + v.  key_u[e] is the first key edge e is filed
+    under, -1 while it is not filed, and in proper mode key_u[e] + v - u is
+    the second, so taking an edge out needs no colour lookup.  A class is the
     list of the edges filed under its key, in no particular order; a key
     is bad once two edges share it, and bad holds exactly the bad keys.
     The state is a function of the image alone, up to the order of each
@@ -179,7 +179,6 @@ class _ViolationIndex:
         self.g_size = g_size
         self.table, self.off = colouring.table, row_offsets(colouring.n)
         self.key_u = [-1] * len(edges)
-        self.key_v = [-1] * len(edges)
         self.classes: dict[int, list[int]] = {}
         self.bad: set[int] = set()
 
@@ -189,10 +188,10 @@ class _ViolationIndex:
         colour changed since the last call must be among the touched; an
         edge may be touched more than once, and its repeats are skipped as
         unchanged.  In proper mode both keys of an edge change together,
-        with its colour, so key_u alone decides."""
+        with its colour, so key_u alone decides and gives both."""
         proper, g_size = self.proper, self.g_size
         end_u, end_v, table, off = self.end_u, self.end_v, self.table, self.off
-        key_u, key_v, classes, bad = self.key_u, self.key_v, self.classes, self.bad
+        key_u, classes, bad = self.key_u, self.classes, self.bad
         for e in touched:
             u, v = end_u[e], end_v[e]
             x, y = img[u], img[v]
@@ -219,8 +218,8 @@ class _ViolationIndex:
                 if len(members) == 2:
                     bad.add(key)
             if proper:
-                old = key_v[e]
                 if old >= 0:
+                    old += v - u
                     members = classes[old]
                     if len(members) == 1:
                         del classes[old]
@@ -229,7 +228,6 @@ class _ViolationIndex:
                         if len(members) == 1:
                             bad.remove(old)
                 key += v - u
-                key_v[e] = key
                 members = classes.get(key)
                 if members is None:
                     classes[key] = [e]

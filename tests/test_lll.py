@@ -339,6 +339,33 @@ class TestOptimizeMu:
             with pytest.raises(DomainError):
                 optimize_mu(*bad)
 
+    @pytest.mark.parametrize("probs, profiles", [
+        # a probability missing for a profiled type
+        ({INTERSECTING: Fraction(1, 10**6)}, rainbow_cell(100, 1, 2)[1]),
+        # a probability for a type with no profile
+        ({INTERSECTING: Fraction(1, 20), DISJOINT: Fraction(1, 20)},
+         {INTERSECTING: single_clique_profile(10)}),
+        # probabilities outside [0, 1]
+        (Fraction(-1, 10), single_clique_profile(10)),
+        (Fraction(11, 10), single_clique_profile(10)),
+        ({**rainbow_cell(100, 1, 2)[0], DISJOINT: Fraction(-1)}, rainbow_cell(100, 1, 2)[1]),
+        # negative bounds
+        (Fraction(1, 20), single_clique_profile(Fraction(-1, 10))),
+        (Fraction(1, 20), single_clique_profile(-5)),
+        (Fraction(1, 20), NeighbourhoodProfile(3, {INTERSECTING: Fraction(1)}, {INTERSECTING: -1})),
+        # clique counts that are negative or not whole
+        (Fraction(1, 2), NeighbourhoodProfile(-3, {INTERSECTING: Fraction(1000)}, {})),
+        (Fraction(1, 2), NeighbourhoodProfile(Fraction(1, 2), {INTERSECTING: Fraction(1000)}, {})),
+    ], ids=["missing-p", "unprofiled-p", "negative-p", "p-above-1", "negative-p-dis",
+            "bound-minus-tenth", "bound-minus-5", "negative-image-bound", "negative-count",
+            "half-count"])
+    def test_inputs_outside_the_domain_rejected(self, probs, profiles):
+        with pytest.raises(DomainError):
+            check_cluster_clique(probs, profiles, Fraction(1, 10) if isinstance(profiles, NeighbourhoodProfile)
+                                 else dict.fromkeys(profiles, Fraction(1, 10)))
+        with pytest.raises(DomainError):
+            optimize_mu(probs, profiles)
+
     @pytest.mark.parametrize("mode", ["rainbow", "proper"])
     def test_huge_n_does_not_overflow(self, mode):
         n = 10**40
@@ -409,12 +436,32 @@ def _log1p_sum_exp(exponents: list[float]) -> float:
     return top + math.log(total)
 
 
+def reference_terms(p_by_class, clique_profile) -> dict:
+    """{event type: (p, profile.cliques())}, the types in the order
+    intersecting, disjoint; a bare probability and profile are the one
+    intersecting type."""
+    if isinstance(clique_profile, NeighbourhoodProfile):
+        p_by_class, clique_profile = {INTERSECTING: p_by_class}, {INTERSECTING: clique_profile}
+    return {t: (Fraction(p_by_class[t]), clique_profile[t].cliques())
+            for t in (INTERSECTING, DISJOINT) if t in clique_profile}
+
+
+def reference_factor(cliques, mu_by_type) -> Fraction:
+    """prod over the listed cliques (1 + sum_t mu_t * bound_t) ** count,
+    clique by clique, in Fractions: an equal clique listed twice is
+    computed twice."""
+    factor = Fraction(1)
+    for count, bounds in cliques:
+        factor *= sum((mu_by_type[t] * b for t, b in bounds.items()), Fraction(1)) ** count
+    return factor
+
+
 def reference_search(p_by_class, clique_profile):
     """optimize_mu's certificate as the search found it before its fixed
     two-axis layout: shapes keyed by their (axis, log bound) pairs in the
     order each bound mapping lists them, one log-sum-exp call per shape,
     and a recursive golden-section search, one level per weight."""
-    terms = lll._clique_terms(p_by_class, clique_profile)
+    terms = reference_terms(p_by_class, clique_profile)
     axis = {t: i for i, t in enumerate(terms)}
     shapes: dict[tuple, int] = {}
 
@@ -519,6 +566,22 @@ def test_search_matches_the_reference_search():
         params, cert = optimize_mu(*cell)
         assert params == expected.parameters, cell
         assert cert.to_json() == expected.to_json(), cell
+
+
+@pytest.mark.parametrize("order", [(INTERSECTING, DISJOINT), (DISJOINT, INTERSECTING)])
+def test_check_matches_the_clique_by_clique_product(order):
+    rng = random.Random(11)
+    inputs = [certificate_inputs(setting, n, k, **rule) for setting, n, k, rule in reference_cells()]
+    inputs += hand_built_inputs() + caller_built_inputs(order)
+    for p_by_class, clique_profile in inputs:
+        if isinstance(clique_profile, dict):
+            clique_profile = reordered(clique_profile, order)
+        terms = reference_terms(p_by_class, clique_profile)
+        mu = {t: Fraction(rng.randint(1, 999), 10 ** rng.randint(3, 16)) for t in terms}
+        cert = check_cluster_clique(p_by_class, clique_profile, mu)
+        assert cert.conditions == tuple(
+            lll.ConditionCheck(t, p, mu[t] / reference_factor(cliques, mu))
+            for t, (p, cliques) in terms.items())
 
 
 def test_search_on_disjoint_first_profiles_keeps_the_verdict():

@@ -239,9 +239,9 @@ _Index = sampler._ViolationIndex
 
 
 def _state(index):
-    """The per-edge keys, the bad keys and each key's member set of an
-    index; the order within a class is not state."""
-    return (index.key_u, index.key_v, index.bad,
+    """The per-edge first keys, the bad keys and each key's member set of
+    an index; the order within a class is not state."""
+    return (index.key_u, index.bad,
             {key: set(members) for key, members in index.classes.items()})
 
 
@@ -265,15 +265,16 @@ class _CheckedIndex(_Index):
         fresh = _Index(*self.args)
         fresh.move(range(len(self.end_u)), img)
         assert _state(self) == _state(fresh)
-        before = (self.key_u[:], self.key_v[:], set(self.bad),
+        before = (self.key_u[:], set(self.bad),
                   {key: list(members) for key, members in self.classes.items()})
         super().move(touched[::-1] * 2, img)
-        assert (self.key_u, self.key_v, self.bad, self.classes) == before
+        assert (self.key_u, self.bad, self.classes) == before
         type(self).moves += 1
         type(self).modes.add(self.proper)
 
     def keys(self, e):
-        return {self.key_u[e], self.key_v[e]} - {-1}
+        key = self.key_u[e]
+        return {key, key + (self.end_v[e] - self.end_u[e]) * self.proper}
 
     def all_pairs(self):
         pairs = set()
