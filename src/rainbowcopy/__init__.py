@@ -5,8 +5,6 @@ from .colouring import (
     Boundedness,
     EdgeColouring,
     boundedness,
-    constant_colouring,
-    distinct_colouring,
     gen_k_bounded,
     gen_locally_k_bounded,
     load_colouring,

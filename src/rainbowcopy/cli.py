@@ -19,7 +19,7 @@ from pathlib import Path
 from . import lll
 from .colouring import (
     MAX_VERTICES,
-    boundedness,
+    _constructed_boundedness,
     gen_k_bounded,
     gen_locally_k_bounded,
     load_colouring,
@@ -98,13 +98,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.mode == "global":
-        colouring = gen_k_bounded(args.n, args.k, args.seed)
-    else:
-        colouring = gen_locally_k_bounded(args.n, args.k, args.seed)
+    gen = gen_k_bounded if args.mode == "global" else gen_locally_k_bounded
+    colouring = gen(args.n, args.k, args.seed)
     with open(args.output, "w", encoding="utf-8") as out:
         save_colouring(colouring, out)
-    bounds = boundedness(colouring)
+    bounds = _constructed_boundedness(colouring, args.k, args.mode)
     _print_json(
         {
             "file": args.output,

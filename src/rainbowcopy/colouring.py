@@ -22,19 +22,20 @@ or line ending is still accepted, line by line.
 
 Two boundedness measures matter: the *global* bound (largest number of
 edges sharing one colour anywhere in K_n) and the *local* bound (largest
-number of equally coloured edges meeting at a single vertex).  The edges
-at a vertex are its row of the table and its column; boundedness copies
-the columns into a buffer a block of 64 at a time, one strided slice per
-row above the block, so that each vertex's colours are two contiguous runs
-that one Counter counts.  Generators for both regimes are provided.  Each
+number of equally coloured edges meeting at a single vertex).  boundedness
+counts both, and the colours, from the table, as the independent measure
+of events.verify_clique_bounds and the tests; one Counter takes a vertex's
+row and its column, copied out 64 columns at a time.  Each generator
 shuffles a sequence of colours, k of each and a short last class, in
 place: the globally bounded one shuffles the table itself, and the locally
 bounded one the colours of the matchings of a round-robin
 1-factorization, which makes the local bound tight by construction instead
-of by rejection.  Neither makes a second table, and both skip the
-constructor's scan.  The shuffle is Random.shuffle's loop written out
-over Random(seed).getrandbits, with the same draws in the same order, so a
-seed gives the colouring that Random(seed).shuffle would.
+of by rejection.  So the class sizes are known, and gen reports them,
+counting only the global generator's local bound.  Neither generator makes
+a second table, and both skip the constructor's scan.  The shuffle is
+Random.shuffle's loop written out over Random(seed).getrandbits, with the
+same draws in the same order, so a seed gives the colouring that
+Random(seed).shuffle would.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ __all__ = [
     "gen_locally_k_bounded",
     "load_colouring",
     "save_colouring",
-    "constant_colouring",
-    "distinct_colouring",
     "row_offsets",
     "MAX_VERTICES",
     "COLOUR_MAX",
@@ -151,14 +150,23 @@ class Boundedness(NamedTuple):
 
 
 def boundedness(colouring: EdgeColouring) -> Boundedness:
-    """Global and local boundedness measures of a colouring.
+    """Global and local boundedness measures of a colouring, counted from
+    its table: the independent measure that events.verify_clique_bounds
+    and the tests check against.  gen states its generator's counts
+    instead (_constructed_boundedness)."""
+    by_colour = Counter(colouring.table)
+    return Boundedness(
+        global_bound=max(by_colour.values(), default=0),
+        local_bound=_local_bound(colouring),
+        colours=len(by_colour),
+    )
 
-    The edges at u are its row (u, v > u), contiguous in the table, and its
-    column (w < u, u), one cell in each row above.  The columns are gathered
-    _COLUMN_BLOCK at a time: each row above a block copies its segment of
-    the block's columns into a buffer with one strided slice, which lays
-    every column of the block out contiguously.
-    """
+
+def _local_bound(colouring: EdgeColouring) -> int:
+    """Largest number of equally coloured edges at one vertex: its row,
+    contiguous in the table, and its column, one cell in each row above,
+    gathered into a buffer _COLUMN_BLOCK columns at a time, one strided
+    slice per row."""
     n, table = colouring.n, colouring.table
     off = row_offsets(n)
     # buf[(u - a) * n + w] is the colour of (w, u), for u in the block from a on
@@ -173,12 +181,7 @@ def boundedness(colouring: EdgeColouring) -> Boundedness:
             at_u = Counter(table[off[u] + u + 1 : off[u] + n])
             at_u.update(buf[(u - a) * n : (u - a) * n + u])
             local_bound = max(local_bound, max(at_u.values(), default=0))
-    by_colour = Counter(table)
-    return Boundedness(
-        global_bound=max(by_colour.values(), default=0),
-        local_bound=local_bound,
-        colours=len(by_colour),
-    )
+    return local_bound
 
 
 def _shuffled_colours(size: int, k: int, seed: int) -> array:
@@ -251,18 +254,19 @@ def gen_locally_k_bounded(n: int, k: int, seed: int) -> EdgeColouring:
     return _checked_colouring(n, table)
 
 
-def constant_colouring(n: int) -> EdgeColouring:
-    """Monochromatic colouring of K_n, every edge of colour 0."""
-    _check_size(n)
-    return EdgeColouring(n, [0] * (n * (n - 1) // 2))
-
-
-def distinct_colouring(n: int) -> EdgeColouring:
-    """All edges receive pairwise different colours."""
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
-    _check_size(n)
-    return _checked_colouring(n, array("i", range(n * (n - 1) // 2)))
+def _constructed_boundedness(colouring: EdgeColouring, k: int, mode: str) -> Boundedness:
+    """The measures that gen_k_bounded (mode "global") or
+    gen_locally_k_bounded ("local") fix when they build a colouring with
+    this k.  Global: ceil(C(n, 2)/k) colours of min(k, C(n, 2)) edges at
+    most, and a counted local bound.  Local: ceil(r/k) colours; the largest
+    merges min(k, r) matchings of n // 2 edges, which meet some vertex
+    min(k, n - 1) times (for odd n, class c misses vertex c)."""
+    n = colouring.n
+    if mode == "global":
+        size = n * (n - 1) // 2
+        return Boundedness(min(k, size), _local_bound(colouring), -(-size // k))
+    r = n if n % 2 else n - 1
+    return Boundedness(min(k, r) * (n // 2), min(k, n - 1), -(-r // k))
 
 
 def save_colouring(colouring: EdgeColouring, out: TextIO | None = None) -> str | None:

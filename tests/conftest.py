@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 from itertools import permutations
 
 from rainbowcopy import CanonicalEvent, DomainError, EdgeColouring, Graph
@@ -30,6 +31,16 @@ def random_colouring(rng: random.Random, n: int, n_colours: int) -> EdgeColourin
     """Uniform random colour per edge from a palette of n_colours, drawn in
     lexicographic edge order."""
     return EdgeColouring(n, [rng.randrange(n_colours) for _ in range(n * (n - 1) // 2)])
+
+
+def constant_colouring(n: int) -> EdgeColouring:
+    """Monochromatic colouring of K_n, every edge of colour 0."""
+    return EdgeColouring(n, array("i", [0]) * (n * (n - 1) // 2))
+
+
+def distinct_colouring(n: int) -> EdgeColouring:
+    """All edges receive pairwise different colours."""
+    return EdgeColouring(n, array("i", range(n * (n - 1) // 2)))
 
 
 def adjacency_from_edges(n: int, edges) -> tuple[frozenset[int], ...]:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from conftest import (
     adjacency_from_edges,
+    constant_colouring,
     count_injections_in_event,
     random_colouring,
     random_graph,
@@ -19,7 +20,6 @@ from conftest import (
 from rainbowcopy import (
     Graph,
     complete_graph,
-    constant_colouring,
     cycle_graph,
     enumerate_bad_events,
     event_probability,

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import constant_colouring
 from rainbowcopy import (
+    boundedness,
     certificate_inputs,
-    constant_colouring,
     cycle_graph,
     gen_k_bounded,
+    load_colouring,
     optimize_mu,
     path_graph,
     save_colouring,
@@ -297,6 +299,22 @@ class TestGenFindOracle:
         assert col.read_bytes() == save_colouring(chi).encode()
         assert doc["colours"] == -(-780 // 7) == len(set(chi.table))
         assert doc["global_bound"] == 7
+
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_gen_states_the_counts_of_the_file_it_wrote(self, mode, tmp_path, capsys):
+        # gen reports its generator's counts; boundedness counts them afresh
+        col = tmp_path / "k.col"
+        for n in range(2, 61):
+            size = n * (n - 1) // 2
+            for k in sorted({1, 2, 3, n - 2, n - 1, n, n + 1, size, size + 1} - {0}):
+                for seed in (n, 1000 + k):
+                    assert main(["gen", "--n", str(n), "--k", str(k), "--mode", mode,
+                                 "--seed", str(seed), "-o", str(col)]) == 0
+                    doc = json.loads(capsys.readouterr().out)
+                    with open(col, encoding="utf-8") as source:
+                        counted = boundedness(load_colouring(source))
+                    stated = (doc["global_bound"], doc["local_bound"], doc["colours"])
+                    assert stated == counted, (n, k, seed)
 
     def test_oracle_impossible(self, tmp_path, capsys):
         graph_file = tmp_path / "p3.graph"

@@ -14,15 +14,13 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import random_colouring
+from conftest import constant_colouring, distinct_colouring, random_colouring
 from rainbowcopy import (
     CapacityError,
     DomainError,
     EdgeColouring,
     FormatError,
     boundedness,
-    constant_colouring,
-    distinct_colouring,
     gen_k_bounded,
     gen_locally_k_bounded,
     load_colouring,
@@ -173,7 +171,7 @@ class TestSizeGuard:
     def test_generators_and_constructor_refuse_above_the_cap(self):
         assert MAX_VERTICES >= 10_000
         for build in (lambda n: gen_k_bounded(n, 3, 0), lambda n: gen_locally_k_bounded(n, 3, 0),
-                      lambda n: EdgeColouring(n, []), constant_colouring, distinct_colouring):
+                      lambda n: EdgeColouring(n, [])):
             with pytest.raises(CapacityError):
                 build(MAX_VERTICES + 1)
 
@@ -184,9 +182,8 @@ class TestEdgeColouring:
             EdgeColouring(3, [0])
 
     def test_no_colouring_without_vertices(self):
-        for build in (lambda n: EdgeColouring(n, []), constant_colouring, distinct_colouring):
-            with pytest.raises(DomainError):
-                build(0)
+        with pytest.raises(DomainError):
+            EdgeColouring(0, [])
 
     def test_colour_values_checked(self):
         with pytest.raises(FormatError, match="negative colour -2 on edge \\(0, 2\\)"):

@@ -6,7 +6,9 @@ import pytest
 
 from conftest import (
     adjacency_from_edges,
+    constant_colouring,
     count_injections_in_event,
+    distinct_colouring,
     random_colouring,
     random_graph,
 )
@@ -19,9 +21,7 @@ from rainbowcopy import (
     cherry_stats,
     clique_cover_rainbow,
     conflict,
-    constant_colouring,
     cycle_graph,
-    distinct_colouring,
     enumerate_bad_events,
     event_probability,
     falling_factorial,

@@ -5,15 +5,19 @@ from itertools import permutations
 
 import pytest
 
-from conftest import count_injections_in_event, random_colouring, random_graph
+from conftest import (
+    constant_colouring,
+    count_injections_in_event,
+    distinct_colouring,
+    random_colouring,
+    random_graph,
+)
 from rainbowcopy import (
     CapacityError,
     EdgeColouring,
     complete_graph,
-    constant_colouring,
     count_valid_embeddings,
     cycle_graph,
-    distinct_colouring,
     enumerate_bad_events,
     event_probability,
     exists_copy,

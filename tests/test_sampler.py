@@ -7,15 +7,13 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from conftest import random_colouring, random_graph
+from conftest import constant_colouring, distinct_colouring, random_colouring, random_graph
 from rainbowcopy import (
     DomainError,
     EdgeColouring,
     Embedding,
     Graph,
-    constant_colouring,
     cycle_graph,
-    distinct_colouring,
     enumerate_bad_events,
     find_copy,
     gen_k_bounded,
