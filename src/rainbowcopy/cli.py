@@ -34,14 +34,10 @@ from .sampler import find_copy
 __all__ = ["main", "build_parser"]
 
 
-def _read_graph(path: str):
-    return load_graph(Path(path).read_text(encoding="utf-8"))
-
-
-def _read_colouring(path: str):
+def _read(load, path: str):
     # opened as read_text opens it (universal newlines), read a block at a time
     with open(path, encoding="utf-8") as source:
-        return load_colouring(source)
+        return load(source)
 
 
 def _fraction(text: str) -> Fraction:
@@ -60,7 +56,7 @@ def _print_json(document: dict) -> None:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
+    g = _read(load_graph, args.graph)
     stats = cherry_stats(g)
     _, q, p = graph_rates(g.n_vertices, stats=stats)
     _print_json(
@@ -78,7 +74,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    stats = cherry_stats(_read_graph(args.graph)) if args.graph else None
+    stats = cherry_stats(_read(load_graph, args.graph)) if args.graph else None
     k = lll.threshold(args.theorem, args.n, delta=args.delta, stats=stats)
     print(k)
     return 0
@@ -86,7 +82,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     setting = "thm3" if args.mode == "proper" else "thm7"
-    stats = cherry_stats(_read_graph(args.graph)) if args.graph else None
+    stats = cherry_stats(_read(load_graph, args.graph)) if args.graph else None
     inputs = {"delta": args.delta, "stats": stats, "q": args.q, "p": args.p}
     if args.search_mu:
         params, cert = lll.optimize_mu(*lll.certificate_inputs(setting, args.n, args.k, **inputs))
@@ -118,8 +114,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_find(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    colouring = _read_colouring(args.colouring)
+    g = _read(load_graph, args.graph)
+    colouring = _read(load_colouring, args.colouring)
     result = find_copy(
         g, colouring, args.mode, seed=args.seed, max_resamples=args.max_resamples
     )
@@ -128,8 +124,8 @@ def _cmd_find(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    colouring = _read_colouring(args.colouring)
+    g = _read(load_graph, args.graph)
+    colouring = _read(load_colouring, args.colouring)
     embedding, nodes = search_copy(g, colouring, args.mode)
     if embedding is None:
         print("no valid embedding")

@@ -403,7 +403,7 @@ def read_header(source: str | TextIO) -> tuple[int, int, int]:
     """(N, line number, characters read through that line) of the "n <N>"
     header of a graph or colouring document, a str or a seekable text
     stream: its first line that is neither blank nor a '#' comment.  N must
-    be a positive integer."""
+    be a positive integer, at most MAX_VERTICES."""
     lines = (line for block in _blocks(source, 0) for line in block.splitlines(keepends=True))
     chars = 0
     for lineno, raw in enumerate(lines, start=1):
@@ -419,6 +419,8 @@ def read_header(source: str | TextIO) -> tuple[int, int, int]:
             raise FormatError(f"line {lineno}: bad vertex count {parts[1]!r}") from None
         if n < 1:
             raise FormatError(f"line {lineno}: vertex count must be positive")
+        if n > MAX_VERTICES:
+            raise CapacityError(f"line {lineno}: {n} vertices exceed the cap of {MAX_VERTICES}")
         return n, lineno, chars
     raise FormatError("empty document: missing 'n <N>' header")
 
@@ -440,7 +442,6 @@ def load_colouring(source: str | TextIO) -> EdgeColouring:
     the per-line parser.
     """
     n, header_lineno, header_end = read_header(source)
-    _check_size(n)
     expected = n * (n - 1) // 2
     # every '\n' ends a line of its own, so only a short count needs the exact one
     if sum(block.count("\n") for block in _blocks(source, header_end)) < expected:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, TextIO
 
-from .colouring import MAX_VERTICES, read_header
-from .errors import CapacityError, DomainError, FormatError
+from .colouring import _blocks, read_header
+from .errors import DomainError, FormatError
 
 __all__ = [
     "Graph",
@@ -84,39 +84,38 @@ class CherryStats:
     edge_count: int
 
 
-def load_graph(text: str) -> Graph:
-    """Parse a graph document.
+def load_graph(source: str | TextIO) -> Graph:
+    """Parse a graph document, a str or a seekable text stream (read from
+    its beginning), in blocks of whole lines.
 
     Format: first meaningful line "n <N>", then one "<u> <v>" line per edge
     (0-based ids).  Lines starting with '#' and blank lines are ignored.
     N is at most colouring.MAX_VERTICES, the largest K_n a colouring, and
     so an embedding, can have.
     """
-    n_vertices, header_lineno, header_end = read_header(text)
-    if n_vertices > MAX_VERTICES:
-        raise CapacityError(
-            f"line {header_lineno}: {n_vertices} vertices exceed the cap of {MAX_VERTICES}"
-        )
+    n_vertices, lineno, header_end = read_header(source)
     edges: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text[header_end:].splitlines(), start=header_lineno + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise FormatError(f"line {lineno}: expected '<u> <v>', got {line!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"line {lineno}: non-integer endpoint in {line!r}") from None
-        if u == v:
-            raise FormatError(f"line {lineno}: loop edge {u} {v}")
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
-            raise FormatError(f"line {lineno}: endpoint out of range in {line!r}")
-        edge = (min(u, v), max(u, v))
-        if edge in edges:
-            raise FormatError(f"line {lineno}: duplicate edge {u} {v}")
-        edges.add(edge)
+    for block in _blocks(source, header_end):
+        # a block holds at least one line, so lineno ends at its last
+        for lineno, raw in enumerate(block.splitlines(), start=lineno + 1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise FormatError(f"line {lineno}: expected '<u> <v>', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError(f"line {lineno}: non-integer endpoint in {line!r}") from None
+            if u == v:
+                raise FormatError(f"line {lineno}: loop edge {u} {v}")
+            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+                raise FormatError(f"line {lineno}: endpoint out of range in {line!r}")
+            edge = (min(u, v), max(u, v))
+            if edge in edges:
+                raise FormatError(f"line {lineno}: duplicate edge {u} {v}")
+            edges.add(edge)
     return Graph(n_vertices, frozenset(edges))
 
 

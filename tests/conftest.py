@@ -8,6 +8,11 @@ from itertools import permutations
 
 from rainbowcopy import CanonicalEvent, DomainError, EdgeColouring, Graph
 
+TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
+# exactly one monochromatic pair of edges in K_4, and it is disjoint
+# colours of the K_4 edges 01, 02, 03, 12, 13, 23 (lexicographic order)
+ONE_MONO_DISJOINT = EdgeColouring(4, [0, 1, 2, 3, 4, 0])
+
 
 def random_graph(rng: random.Random, n: int, edge_prob: float = 0.4,
                  max_degree: int | None = None) -> Graph:
@@ -53,6 +58,23 @@ def adjacency_from_edges(n: int, edges) -> tuple[frozenset[int], ...]:
         adj[i].add(j)
         adj[j].add(i)
     return tuple(frozenset(s) for s in adj)
+
+
+def random_clique_cover(rng: random.Random, adj, closed) -> list[list[int]]:
+    """Random cover of a closed neighbourhood by cliques of the graph."""
+    uncovered = set(closed)
+    cover = []
+    while uncovered:
+        v = rng.choice(sorted(uncovered))
+        clique = [v]
+        candidates = [w for w in closed if w != v]
+        rng.shuffle(candidates)
+        for w in candidates:
+            if all(w in adj[u] for u in clique):
+                clique.append(w)
+        cover.append(clique)
+        uncovered -= set(clique)
+    return cover
 
 
 def count_injections_in_event(event: CanonicalEvent, g_size: int, n: int) -> int:

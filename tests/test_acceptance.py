@@ -14,6 +14,7 @@ from conftest import (
     adjacency_from_edges,
     constant_colouring,
     count_injections_in_event,
+    random_clique_cover,
     random_colouring,
     random_graph,
 )
@@ -203,42 +204,28 @@ def test_criterion_07_clique_cover_soundness():
     finish(7, "clique covers sound on 50 random instances", problems, time.perf_counter() - start, 60.0)
 
 
-def random_clique_cover(rng, adj, closed):
-    uncovered = set(closed)
-    cover = []
-    while uncovered:
-        v = rng.choice(sorted(uncovered))
-        clique = [v]
-        candidates = [w for w in closed if w != v]
-        rng.shuffle(candidates)
-        for w in candidates:
-            if all(w in adj[u] for u in clique):
-                clique.append(w)
-        cover.append(clique)
-        uncovered -= set(clique)
-    return cover
-
-
 def test_criterion_08_clique_product_dominance():
     start = time.perf_counter()
     problems = []
-    rng = random.Random(808)
     mus = (Fraction(1, 100), Fraction(1, 10), Fraction(1), Fraction(10))
-    for trial in range(200):
-        n = rng.randint(2, 15)
-        edges = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35
-        ]
-        adj = adjacency_from_edges(n, edges)
-        i = rng.randrange(n)
-        closed = sorted(adj[i] | {i})
-        cover = random_clique_cover(rng, adj, closed)
-        for mu in mus:
-            product = Fraction(1)
-            for clique in cover:
-                product *= 1 + mu * len(clique)
-            if product < independent_set_polynomial(adj, i, mu):
-                problems.append(f"violated at trial {trial}, mu={mu}")
+    # (seed, instances, largest n, edge probability)
+    for seed, trials, n_max, edge_prob in ((808, 200, 15, 0.35), (31, 30, 10, 0.45)):
+        rng = random.Random(seed)
+        for trial in range(trials):
+            n = rng.randint(2, n_max)
+            edges = [
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob
+            ]
+            adj = adjacency_from_edges(n, edges)
+            i = rng.randrange(n)
+            closed = sorted(adj[i] | {i})
+            cover = random_clique_cover(rng, adj, closed)
+            for mu in mus:
+                product = Fraction(1)
+                for clique in cover:
+                    product *= 1 + mu * len(clique)
+                if product < independent_set_polynomial(adj, i, mu):
+                    problems.append(f"violated at seed {seed}, trial {trial}, mu={mu}")
     finish(8, "clique products dominate the independent-set polynomial", problems, time.perf_counter() - start, 10.0)
 
 

@@ -156,7 +156,7 @@ class TestLoadSave:
 class TestSizeGuard:
     def test_forged_header_fails_fast(self):
         start = time.perf_counter()
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match="^line 1: 100000 vertices exceed the cap of 16384$"):
             load_colouring("n 100000\n0 1 5\n")
         assert time.perf_counter() - start < 0.1
 
@@ -497,7 +497,7 @@ def reference_load(text: str) -> EdgeColouring:
     if n is None:
         raise FormatError("empty document: missing 'n <N>' header")
     if n > MAX_VERTICES:
-        raise CapacityError(f"K_{n} exceeds the colouring cap of {MAX_VERTICES} vertices")
+        raise CapacityError(f"line {header_lineno}: {n} vertices exceed the cap of {MAX_VERTICES}")
     edges = list(combinations(range(n), 2))
     if len(lines) - header_lineno < len(edges):
         raise FormatError(

@@ -5,6 +5,8 @@ from itertools import permutations, product
 import pytest
 
 from conftest import (
+    ONE_MONO_DISJOINT,
+    TWO_K2,
     adjacency_from_edges,
     constant_colouring,
     count_injections_in_event,
@@ -14,7 +16,6 @@ from conftest import (
 )
 from rainbowcopy import (
     DomainError,
-    EdgeColouring,
     Graph,
     CanonicalEvent,
     NeighbourhoodProfile,
@@ -34,11 +35,6 @@ from rainbowcopy import (
 )
 from rainbowcopy import events as events_module
 from rainbowcopy.events import DISJOINT, INTERSECTING
-
-TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
-# exactly one monochromatic pair of edges in K_4, and it is disjoint
-# colours of the K_4 edges 01, 02, 03, 12, 13, 23 (lexicographic order)
-ONE_MONO_DISJOINT = EdgeColouring(4, [0, 1, 2, 3, 4, 0])
 
 
 def brute_force_events(g, colouring, mode):

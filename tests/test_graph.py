@@ -1,3 +1,4 @@
+import io
 import random
 import time
 
@@ -16,7 +17,7 @@ from rainbowcopy import (
     load_graph,
     path_graph,
 )
-from rainbowcopy.colouring import MAX_VERTICES
+from rainbowcopy.colouring import MAX_VERTICES, _blocks
 
 P3_DOC = """n 3
 0 1
@@ -89,6 +90,22 @@ class TestLoadGraph:
             with pytest.raises(CapacityError, match=f"line 2: {n} vertices exceed"):
                 load_graph(f"# forged\nn {n}\n0 1\n")
             assert time.perf_counter() - start < 0.1
+
+    def test_a_document_of_several_blocks_streams(self, tmp_path):
+        # P_16384 is 174 KB, three blocks; a comment starts the second
+        n = MAX_VERTICES
+        text = f"n {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+        cut = len(next(_blocks(text, 0)))
+        text = text[:cut] + "# at the cut\n" + text[cut:]
+        path = tmp_path / "p.graph"
+        path.write_text(text, encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            assert load_graph(handle) == load_graph(text) == path_graph(n)
+        text = text.replace(f"\n{n - 9} {n - 8}\n", f"\n{n - 9} x\n")
+        lineno = text.splitlines().index(f"{n - 9} x") + 1
+        for source in (text, io.StringIO(text)):
+            with pytest.raises(FormatError, match=f"^line {lineno}: non-integer endpoint"):
+                load_graph(source)
 
 
 class TestCherryStats:

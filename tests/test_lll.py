@@ -1007,39 +1007,3 @@ def test_bad_rationals_raise_domain_error(bad):
         check_cluster_clique(Fraction(1, 60), single_clique_profile(2), bad)
     with pytest.raises(DomainError):
         verify_paper_inequalities("thm7", n=100, k=bad, delta=1)
-
-
-class TestCliqueProductDominance:
-    def test_small_cases(self):
-        rng = random.Random(31)
-        for _ in range(30):
-            n = rng.randint(2, 10)
-            edges = [
-                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.45
-            ]
-            adj = adjacency_from_edges(n, edges)
-            i = rng.randrange(n)
-            closed = sorted(adj[i] | {i})
-            cover = random_clique_cover(rng, adj, closed)
-            for mu in (Fraction(1, 100), Fraction(1, 10), Fraction(1), Fraction(10)):
-                product = Fraction(1)
-                for clique in cover:
-                    product *= 1 + mu * len(clique)
-                assert product >= independent_set_polynomial(adj, i, mu)
-
-
-def random_clique_cover(rng, adj, closed):
-    """Random cover of a closed neighbourhood by cliques of the graph."""
-    uncovered = set(closed)
-    cover = []
-    while uncovered:
-        v = rng.choice(sorted(uncovered))
-        clique = [v]
-        candidates = [w for w in closed if w != v]
-        rng.shuffle(candidates)
-        for w in candidates:
-            if all(w in adj[u] for u in clique):
-                clique.append(w)
-        cover.append(clique)
-        uncovered -= set(clique)
-    return cover

@@ -1,15 +1,23 @@
-"""A digest of the derived values of lll and events, captured before their
-certificate verdicts, event types and threshold bounds were made derived
-values: thresholds of every rule, the reference chain and the weight search
-around each threshold, and the bad events and clique-bound reports of small
-seeded instances.  A cell that raises DomainError is recorded as such, so the
-digest also pins where the domain checks fire (not their messages)."""
+"""Digests of the derived values of lll and events, one per route, so that a
+change to one route re-derives only its own digest.  Each stream has one
+JSON line per cell:
+  thresholds  every rule at every n and graph source;
+  chains      the reference chain (verify_paper_inequalities) of thm3 and
+              thm7 around each threshold;
+  searches    optimize_mu once per distinct certificate_inputs of those
+              chain cells, with the cells that share it (the cells whose
+              certificate_inputs raise share one line);
+  events      the bad events of small seeded instances;
+  bounds      the clique-bound reports of the same instances.
+A cell that raises DomainError or CapacityError is recorded as such, so the
+digests also pin where the domain checks fire (not their messages)."""
 
 import hashlib
 import json
 import random
 from fractions import Fraction
 
+import pytest
 from conftest import random_graph
 from rainbowcopy import (
     CapacityError,
@@ -34,9 +42,6 @@ DELTAS = [None, -1, 0, 1, 2, 3]
 STATS = [cherry_stats(g) for g in (path_graph(2), path_graph(3), cycle_graph(5), complete_graph(4))]
 RATES = [(0, 0), (1, 0), (0, 1), (Fraction(3, 2), Fraction(1, 2)), (6, 2), (-1, 1)]
 
-# sha256 over the 1915 cells below, one JSON line each
-PINNED_SHA256 = "8a4819bcfba37e4f1d092c12df73e709e5c8b8cde5c0e2b83bfed35562b6e3a1"
-
 
 def inputs():
     """Every way the rules take a graph: a degree, cherry statistics, or
@@ -60,48 +65,59 @@ def dump(value) -> str:
     return json.dumps(value, sort_keys=True, default=str)
 
 
-def lll_cells():
-    searched = {}  # a degree and the statistics it came from give one search
+# sha256 of each stream, one JSON line per cell
+PINNED_SHA256 = {
+    "thresholds": "f2a88df966803baf0cea51ddb29c2ba8e07a1c57a18896a88965c444b09d5c95",
+    "chains": "1f471787797c2d44da93e798e8343c0d66129990cab029536987357117f29bc8",
+    "searches": "c031506c1d1cb410d876681ecc0182ba100d60ce63fc7510312b4243136db228",
+    "events": "98d9ec3c3d7115a61496714afc5c8b1302e5437c278b098cc6119b1fbeefa8bc",
+    "bounds": "d4716195f83296da51a8fc080e7112f9bfc09d60a71acefc773a4ee7903dc70f",
+}
+
+
+@pytest.fixture(scope="module")
+def streams() -> dict[str, list[str]]:
+    lines = {stream: [] for stream in PINNED_SHA256}
     for n in NS:
         for kw in inputs():
             for theorem in ("thm2", "thm3", "thm5", "thm7", "cor4"):
-                yield dump(["threshold", theorem, n, kw, cell(threshold, theorem, n, **kw)])
+                lines["thresholds"].append(
+                    dump(["threshold", theorem, n, kw, cell(threshold, theorem, n, **kw)]))
+    shared = {}  # certificate inputs, or the error they raise -> (them, the cells they serve)
     for n in CHAIN_NS:
         for kw in inputs():
             for setting in ("thm3", "thm7"):
                 top = cell(threshold, setting, n, **kw)
                 if not isinstance(top, int):
-                    yield dump(["chain", setting, n, kw, top])
+                    lines["chains"].append(dump(["chain", setting, n, kw, top]))
                     continue
                 for k in (Fraction(0), Fraction(top), top + Fraction(1, 2), Fraction(top + 1)):
                     report = cell(verify_paper_inequalities, setting, n=n, k=k, **kw)
+                    lines["chains"].append(dump(["chain", setting, n, kw, str(k), report]))
                     found = cell(certificate_inputs, setting, n, k, **kw)
-                    if not isinstance(found, str):
-                        key = dump(found)
-                        if key not in searched:
-                            searched[key] = cell(lambda: optimize_mu(*found)[1].to_json())
-                        found = searched[key]
-                    yield dump(["chain", setting, n, kw, str(k), report, found])
-
-
-def event_cells():
+                    key = found if isinstance(found, str) else dump(found)
+                    shared.setdefault(key, (found, []))[1].append([setting, n, kw, str(k)])
+    for found, cells in shared.values():
+        if not isinstance(found, str):
+            found = cell(lambda: optimize_mu(*found)[1].to_json())
+        lines["searches"].append(dump([cells, found]))
     rng = random.Random(31)
     for _ in range(12):
         n = rng.randint(3, 6)
         g = random_graph(rng, rng.randint(3, n), edge_prob=0.6, max_degree=3)
         chi = gen_k_bounded(n, rng.randint(1, 3), rng.randrange(1000))
         for mode in ("proper", "rainbow"):
-            events = enumerate_bad_events(g, chi, mode)
-            yield dump(["events", n, sorted(g.edges), mode, [
+            lines["events"].append(dump(["events", n, sorted(g.edges), mode, [
                 [ev.e_pair, ev.f_pair, ev.a_pair, ev.b_pair, ev.type_tag,
                  [cell(event_probability, ev.type_tag, m) for m in (-1, 0, 2, 3, 4, n)]]
-                for ev in events
-            ]])
-            yield dump(["bounds", n, sorted(g.edges), mode, verify_clique_bounds(g, chi, mode)])
+                for ev in enumerate_bad_events(g, chi, mode)
+            ]]))
+            lines["bounds"].append(
+                dump(["bounds", n, sorted(g.edges), mode, verify_clique_bounds(g, chi, mode)]))
+    return lines
 
 
-def test_derived_values_are_pinned():
-    digest = hashlib.sha256()
-    for line in [*lll_cells(), *event_cells()]:
-        digest.update(line.encode() + b"\n")
-    assert digest.hexdigest() == PINNED_SHA256
+@pytest.mark.parametrize("stream", PINNED_SHA256)
+def test_derived_values_are_pinned(streams, stream):
+    digest = hashlib.sha256("".join(line + "\n" for line in streams[stream]).encode())
+    assert digest.hexdigest() == PINNED_SHA256[stream]

@@ -7,10 +7,16 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from conftest import constant_colouring, distinct_colouring, random_colouring, random_graph
+from conftest import (
+    ONE_MONO_DISJOINT,
+    TWO_K2,
+    constant_colouring,
+    distinct_colouring,
+    random_colouring,
+    random_graph,
+)
 from rainbowcopy import (
     DomainError,
-    EdgeColouring,
     Embedding,
     Graph,
     cycle_graph,
@@ -26,10 +32,7 @@ from rainbowcopy import (
 )
 from rainbowcopy import sampler
 
-TWO_K2 = Graph.from_edges(4, [(0, 1), (2, 3)])
 TWO_P3 = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
-# colours of the K_4 edges 01, 02, 03, 12, 13, 23 (lexicographic order)
-ONE_MONO_DISJOINT = EdgeColouring(4, [0, 1, 2, 3, 4, 0])
 
 
 class TestRandomInjection:
