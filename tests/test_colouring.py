@@ -65,10 +65,11 @@ class TestGenKBounded:
         assert gen_k_bounded(8, 3, 42) != gen_k_bounded(8, 3, 43)
 
     def test_bad_args(self):
-        with pytest.raises(DomainError):
-            gen_k_bounded(1, 1, 0)
-        with pytest.raises(DomainError):
-            gen_k_bounded(4, 0, 0)
+        for gen in (gen_k_bounded, gen_locally_k_bounded):
+            with pytest.raises(DomainError):
+                gen(1, 1, 0)
+            with pytest.raises(DomainError):
+                gen(4, 0, 0)
 
 
 class TestGenLocallyKBounded:
@@ -137,6 +138,7 @@ class TestLoadSave:
             "n 3\n0 1 7\n0 2\n1 2 9\n": "line 3: expected '<u> <v> <c>'",
             "# c\nn 3\n0 1 7\n0 2 -1\n1 2 9\n": "line 4: negative colour -1",
             "n x\n": "line 1: bad vertex count",
+            "# c\nn 0\n": "line 2: vertex count must be positive",
             "m 3\n": "line 1: expected header",
         }
         for text, message in cases.items():
@@ -407,8 +409,10 @@ def test_block_path_edge_cases():
 
 
 def assert_same_lines(got: str, want: str) -> None:
-    """got == want, compared line by line, so that a mismatch reports its
-    first line quickly instead of diffing whole documents."""
+    """got == want; a mismatch is compared line by line, so that it reports
+    its first line quickly instead of diffing whole documents."""
+    if got == want:
+        return
     for got_line, want_line in zip_longest(got.splitlines(True), want.splitlines(True)):
         assert got_line == want_line
 
@@ -426,6 +430,7 @@ def _digest(text: str) -> str:
         (gen_locally_k_bounded, 400, 45, 1, "5df3a12aa1d09bcc"),
         (gen_k_bounded, 7, 3, 5, "4d00721b320787a0"),
         (gen_locally_k_bounded, 9, 2, 5, "88c60ad19ee9e4b9"),
+        (gen_k_bounded, 1000, 50, 1, "3518122953d42654"),
     ],
 )
 def test_saved_colourings_are_pinned(gen, n, k, seed, digest):

@@ -97,6 +97,10 @@ class TestEnumerate:
         with pytest.raises(DomainError):
             enumerate_bad_events(path_graph(4), constant_colouring(3), "proper")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(DomainError):
+            enumerate_bad_events(path_graph(3), constant_colouring(3), "rainbw")
+
     def test_matches_brute_force_random(self):
         rng = random.Random(7)
         for _ in range(10):
@@ -332,6 +336,11 @@ class TestCliqueCovers:
             clique_cover_rainbow(0, 10, 1, INTERSECTING)
         with pytest.raises(DomainError):
             clique_cover_rainbow(1, 10, 1, "neither")
+        with pytest.raises(DomainError):
+            clique_cover_rainbow(1, 10, -1, INTERSECTING)
+        for q, p, n, k in ((-1, 1, 10, 1), (1, -1, 10, 1), (1, 1, 1, 1), (1, 1, 10, -1)):
+            with pytest.raises(DomainError):
+                proper_profile_from_rates(q, p, n, k)
 
 
 PINNED_CLASSES = [

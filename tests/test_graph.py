@@ -69,6 +69,11 @@ class TestLoadGraph:
         with pytest.raises(FormatError):
             load_graph("n 3\n0 3\n")
 
+    def test_wrong_field_count(self):
+        for line in ("0", "0 1 2"):
+            with pytest.raises(FormatError, match="^line 2: expected '<u> <v>'"):
+                load_graph(f"n 3\n{line}\n")
+
     def test_comments_and_blanks(self):
         g = load_graph("# path\n\nn 3\n# edge list\n0 1\n\n1 2\n")
         assert g.edges == frozenset({(0, 1), (1, 2)})
@@ -106,6 +111,15 @@ class TestLoadGraph:
         for source in (text, io.StringIO(text)):
             with pytest.raises(FormatError, match=f"^line {lineno}: non-integer endpoint"):
                 load_graph(source)
+
+
+class TestGraph:
+    def test_invariants_enforced(self):
+        with pytest.raises(DomainError):
+            Graph(0, frozenset())
+        for edge in ((1, 1), (1, 0), (0, 3), (-1, 2)):
+            with pytest.raises(FormatError):
+                Graph(3, frozenset({edge}))
 
 
 class TestCherryStats:

@@ -107,6 +107,14 @@ class TestIndependentSetPolynomial:
 
 
 class TestClusterExact:
+    def test_bad_args(self):
+        adj = adjacency_from_edges(3, [(0, 1), (1, 2)])
+        with pytest.raises(DomainError):
+            check_cluster_exact([Fraction(1, 10)] * 2, adj, Fraction(1, 2))
+        for mu in (0, Fraction(-1, 2), [Fraction(1, 2), 0, Fraction(1, 2)]):
+            with pytest.raises(DomainError):
+                check_cluster_exact([Fraction(1, 10)] * 3, adj, mu)
+
     def test_matches_hand_computation(self):
         adj = adjacency_from_edges(3, [(0, 1), (1, 2)])
         mu = Fraction(1, 2)
@@ -356,9 +364,11 @@ class TestOptimizeMu:
         # clique counts that are negative or not whole
         (Fraction(1, 2), NeighbourhoodProfile(-3, {INTERSECTING: Fraction(1000)}, {})),
         (Fraction(1, 2), NeighbourhoodProfile(Fraction(1, 2), {INTERSECTING: Fraction(1000)}, {})),
+        # a bare probability with a mapping of profiles
+        (Fraction(1, 10**6), rainbow_cell(100, 1, 2)[1]),
     ], ids=["missing-p", "unprofiled-p", "negative-p", "p-above-1", "negative-p-dis",
             "bound-minus-tenth", "bound-minus-5", "negative-image-bound", "negative-count",
-            "half-count"])
+            "half-count", "bare-p-with-profile-mapping"])
     def test_inputs_outside_the_domain_rejected(self, probs, profiles):
         with pytest.raises(DomainError):
             check_cluster_clique(probs, profiles, Fraction(1, 10) if isinstance(profiles, NeighbourhoodProfile)
@@ -456,6 +466,31 @@ def reference_factor(cliques, mu_by_type) -> Fraction:
     return factor
 
 
+def reference_golden_max(f, lo: float, hi: float) -> tuple:
+    """The golden-section search of optimize_mu, written out apart from
+    lll._golden_max: the bracket shrinks by (sqrt(5) - 1) / 2 per step until
+    it is at most 1e-9 wide, and the best of f(lo), f(hi) and the better
+    interior probe wins, ties going to lo, then hi, then the interior."""
+    inv_phi = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-9:
+        if fc[0] < fd[0]:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+    best = f(lo)
+    for probe in (f(hi), fc if fc[0] >= fd[0] else fd):
+        if probe[0] > best[0]:
+            best = probe
+    return best
+
+
 def reference_search(p_by_class, clique_profile):
     """optimize_mu's certificate as the search found it before its fixed
     two-axis layout: shapes keyed by their (axis, log bound) pairs in the
@@ -487,7 +522,7 @@ def reference_search(p_by_class, clique_profile):
     def search(fixed: list[float]) -> tuple[float, list[float]]:
         if len(fixed) == len(axis):
             return log_margin(fixed), fixed
-        return lll._golden_max(lambda t: search([*fixed, t]), lo, hi)
+        return reference_golden_max(lambda t: search([*fixed, t]), lo, hi)
 
     mus = [MU_LO if x == lo else MU_HI if x == hi else Fraction(math.exp(x))
            for x in search([])[1]]
@@ -726,6 +761,10 @@ class TestThreshold:
             q, p = Fraction(3, 2) * delta * delta, Fraction(delta * delta, 2)
             assert threshold("thm3", n, delta=delta) == threshold("thm3", n, q=q, p=p)
 
+    def test_unknown_theorem_rejected(self):
+        with pytest.raises(DomainError):
+            threshold("thm9", 1000, delta=2)
+
     def test_no_cherries_rejected(self):
         with pytest.raises(DomainError):
             threshold("thm3", 100, q=0, p=0)
@@ -801,6 +840,13 @@ class TestVerifyPaperInequalities:
     def test_thm7_k_above_bound_rejected(self):
         with pytest.raises(DomainError):
             verify_paper_inequalities("thm7", n=500, k=3, delta=2)
+
+    def test_bad_args(self):
+        with pytest.raises(DomainError):
+            verify_paper_inequalities("thm5", n=500, k=1, delta=2)
+        for setting in ("thm3", "thm7"):
+            with pytest.raises(DomainError):
+                verify_paper_inequalities(setting, n=500, k=-1, delta=2)
 
     @pytest.mark.parametrize("setting", ["thm3", "thm7"])
     def test_threshold_is_the_largest_k_the_chain_accepts(self, setting):

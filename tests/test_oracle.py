@@ -14,6 +14,7 @@ from conftest import (
 )
 from rainbowcopy import (
     CapacityError,
+    DomainError,
     EdgeColouring,
     complete_graph,
     count_valid_embeddings,
@@ -75,6 +76,12 @@ class TestExistsCopy:
         with pytest.raises(CapacityError):
             exists_copy(cycle_graph(6), distinct_colouring(8), "rainbow", node_budget=3)
 
+    def test_bad_args(self):
+        with pytest.raises(DomainError):
+            exists_copy(path_graph(3), constant_colouring(3), "rainbw")
+        with pytest.raises(DomainError):
+            exists_copy(path_graph(4), constant_colouring(3), "proper")
+
     @pytest.mark.parametrize("g, mode", [
         (path_graph(1200), "proper"),
         (path_graph(1200), "rainbow"),
@@ -121,7 +128,9 @@ class TestPinnedSearch:
         (path_graph(5), random_colouring(random.Random(15), 7, 2), "proper", 122, 184, 1075),
         (cycle_graph(5), random_colouring(random.Random(37), 7, 5), "rainbow", 167, 40, 1999),
         (cycle_graph(4), random_colouring(random.Random(8), 6, 2), "rainbow", 336, 0, 336),
-    ], ids=["p5-proper", "c5-rainbow", "c4-rainbow-none"])
+        (path_graph(3), gen_locally_k_bounded(6, 2, 1), "proper", 3, 96, 156),
+        (path_graph(3), constant_colouring(3), "proper", 15, 0, 15),
+    ], ids=["p5-proper", "c5-rainbow", "c4-rainbow-none", "p3-proper", "p3-proper-none"])
     def test_node_counts(self, g, chi, mode, exists_nodes, count, count_nodes):
         assert (exists_copy(g, chi, mode, node_budget=exists_nodes) is None) == (count == 0)
         with pytest.raises(CapacityError):

@@ -52,6 +52,14 @@ class TestRandomInjection:
         with pytest.raises(DomainError):
             random_injection(4, 3, 0)
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(DomainError):
+            random_injection(-1, 3, 0)
+
+    def test_images_must_be_injective(self):
+        with pytest.raises(DomainError):
+            Embedding((0, 2, 0))
+
     def test_empirical_uniformity(self):
         counts = Counter(random_injection(2, 3, seed).image_of for seed in range(60_000))
         assert len(counts) == 6
@@ -81,6 +89,15 @@ class TestViolatedEvents:
         pairs = violated_events(emb, cycle_graph(4), constant_colouring(4), "rainbow")
         assert pairs == sorted(pairs)
         assert len(pairs) == 6  # all pairs of the 4 cycle edges
+
+    def test_unknown_mode_rejected(self):
+        emb, g, chi = Embedding((0, 1, 2)), path_graph(3), distinct_colouring(5)
+        for mode in ("rainbw", None):
+            for check in (is_valid_embedding, violated_events):
+                with pytest.raises(DomainError, match="unknown mode"):
+                    check(emb, g, chi, mode)
+            with pytest.raises(DomainError, match="unknown mode"):
+                find_copy(g, chi, mode, seed=0)
 
     @pytest.mark.parametrize("image_of", [(0, 1), (0, 1, 2, 3)])
     def test_size_mismatch_rejected(self, image_of):
