@@ -19,9 +19,10 @@ Equality counts as holding.
 The clique form has one layout, which lists each distinct clique once; the
 exact check scores it in Fractions and the mu search in float logs.  The
 search maximises the margin over the box [1e-12, 1e3] per weight.  In log
-mu the margin is log-concave, so a golden-section search per weight
-coordinate finds the optimum in the box; it runs on two fixed weight axes,
-and the returned certificate is the exact check at the point found.
+mu the margin is log-concave.  With one weight the search is Newton's
+method on the log margin's derivative, which has a closed form; with two it
+is a golden-section search per weight coordinate on two fixed weight axes.
+The returned certificate is the exact check at the point found.
 
 The paper's two settings, thm3 (properly coloured copies) and thm7 (rainbow
 copies), are built in one place, certificate_inputs, from which the
@@ -198,6 +199,8 @@ def check_cluster_exact(
     conditions = []
     mus = {}
     for i, p in enumerate(probs):
+        if not 0 <= p <= 1:
+            raise DomainError(f"need probabilities in [0, 1], got {p} at {i}")
         mu_i = _as_fraction(_mu_of(mu_assignment, i))
         if mu_i <= 0:
             raise DomainError(f"mu must be positive, got {mu_i} at {i}")
@@ -329,6 +332,27 @@ def _golden_max(f, lo: float, hi: float) -> tuple:
     return max(f(lo), f(hi), interior, key=lambda probe: probe[0])
 
 
+def _newton_max(slope, start: float, lo: float, hi: float) -> float:
+    """The maximum on [lo, hi] of a concave g, where slope(x) returns
+    (g'(x), -g''(x)): lo when g'(lo) <= 0, hi when g'(hi) >= 0, else Newton's
+    method on g' from start inside a bracket [a, b], g'(a) > 0 >= g'(b),
+    that shrinks to each point, bisecting where a step would leave it.  It
+    stops at the point whose step or bracket is at most _LOG_TOL, testing
+    the step first, so a step too small to move x ends it."""
+    if slope(lo)[0] <= 0:
+        return lo
+    if slope(hi)[0] >= 0:
+        return hi
+    a, b, x = lo, hi, start if lo < start < hi else (lo + hi) / 2
+    while True:
+        d, curve = slope(x)
+        a, b = (x, b) if d > 0 else (a, x)
+        step = d / curve if curve else math.inf
+        if abs(step) <= _LOG_TOL or b - a <= _LOG_TOL:
+            return x
+        x = x + step if a < x + step < b else (a + b) / 2
+
+
 def optimize_mu(p_by_class, clique_profile):
     """Search mu parameters maximising the certificate margin.
 
@@ -336,59 +360,87 @@ def optimize_mu(p_by_class, clique_profile):
         t_s - sum over cliques count * log(1 + sum_u exp(t_u) * bound_u) - log p_s,
     is concave (a log-sum-exp of affine functions is convex), so their
     minimum over the types is concave, and so is its maximum over some
-    coordinates.  So one golden-section search over [log MU_LO, log MU_HI]
-    per weight finds the optimum, each probe of mu_int scored by a search
-    over mu_dis.  Every probe is one evaluation of one flat margin on two
-    axes (-inf on the second for one weight) over check_cluster_clique's
-    layout, each distinct clique scored once in float logs, its terms
-    summed in axis order.  At 55 probes per weight that is 55 evaluations
-    for one weight and 3025 for two; cert.search counts them and the clique
-    scorings.  The returned certificate is the exact check of that layout
-    at the point found.  An optimum on the edge of the box is returned as
-    the exact bound.  When the optimum lies below MU_LO, as for the rainbow
-    form at large n, the certificate fails although the reference weights
-    may hold.
+    coordinates.  Each search runs over [log MU_LO, log MU_HI] per weight,
+    and each of its evaluations scores each distinct clique of
+    check_cluster_clique's layout once, in floats.
+
+    One weight: _newton_max on the slope 1 - sum c_i s_i, s_i = sigmoid(t + b_i)
+    for counts c_i and log bounds b_i, from -max b_i - log(sum c_i - 1), the
+    root when every clique has the largest bound.  On a proper cell given by
+    delta, whose two cliques are equal, that is 3 evaluations, the slopes at
+    the edges and at the start, and 1 when the optimum lies below the box.
+
+    Two weights: a golden-section search over mu_int, each probe scored by
+    one over mu_dis, of the flat log margin on the two axes: 55 probes per
+    weight, 3025 evaluations.
+
+    cert.search counts the evaluations and the clique scorings.  The
+    returned certificate is the exact check at the point found; an optimum
+    on the edge of the box is returned as the exact bound.  When the
+    optimum lies below MU_LO, as for the rainbow form at large n, the
+    certificate fails although the reference weights may hold.
 
     Returns (cert.parameters, cert); the certificate fails (margin < 1)
     when no feasible point exists.
     """
     cliques, terms = _clique_terms(p_by_class, clique_profile)
-    # each distinct clique's log bound per axis (the types in terms order,
-    # padded to two), -inf for a 0 bound: exp(-inf) = 0.0
-    log_bounds = [(*(_log(b) if b else -math.inf for b in clique), -math.inf)[:2]
-                  for clique in cliques]
-    log_terms = [(axis, _log(p), uses) for axis, (p, uses) in enumerate(terms.values()) if p]
+    # each distinct clique's log bound per axis (the types in terms order),
+    # -inf for a 0 bound: exp(-inf) = 0.0
+    log_bounds = [tuple(_log(b) if b else -math.inf for b in clique) for clique in cliques]
     exp, log = math.exp, math.log
     evaluations = 0
-
-    def log_margin(x0: float, x1: float) -> tuple[float, tuple[float, float]]:
-        nonlocal evaluations
-        evaluations += 1
-        scores = []
-        for b0, b1 in log_bounds:  # log(1 + exp(e0) + exp(e1)), scaled by max(0, e0, e1)
-            e0, e1 = x0 + b0, x1 + b1
-            top = e0 if e0 > e1 else e1
-            top = top if top > 0.0 else 0.0
-            scores.append(top + log(exp(-top) + exp(e0 - top) + exp(e1 - top)))
-        x = (x0, x1)
-        worst = math.inf
-        for axis, log_p, uses in log_terms:
-            value = x[axis] - log_p
-            for count, i in uses:
-                value -= count * scores[i]
-            worst = value if value < worst else worst
-        return worst, x
-
     lo, hi = _log(MU_LO), _log(MU_HI)
+
     if len(terms) == 1:
-        _, point = _golden_max(lambda x0: log_margin(x0, -math.inf), lo, hi)
+        (_, uses), = terms.values()
+        counts = [0] * len(cliques)
+        for count, i in uses:
+            counts[i] += count
+        live = [(count, b) for count, (b,) in zip(counts, log_bounds)]
+
+        def slope(x: float) -> tuple[float, float]:
+            nonlocal evaluations
+            evaluations += 1
+            d, curve = 1.0, 0.0
+            for count, b in live:  # s = sigmoid(x + b) from e = exp(-|x + b|) <= 1
+                z = x + b
+                e = exp(-abs(z))
+                s = 1 / (1 + e)
+                d -= count * (s if z >= 0 else e * s)
+                curve += count * e * s * s
+            return d, curve
+
+        finite = [(count, b) for count, b in live if count and b > -math.inf]
+        total = sum(count for count, _ in finite)
+        # the root of the slope when every such clique has the largest bound
+        start = -max(b for _, b in finite) - log(total - 1) if total > 1 else hi
+        point = (_newton_max(slope, start, lo, hi),)
     else:
+        log_terms = [(axis, _log(p), uses) for axis, (p, uses) in enumerate(terms.values()) if p]
+
+        def log_margin(x0: float, x1: float) -> tuple[float, tuple[float, float]]:
+            nonlocal evaluations
+            evaluations += 1
+            scores = []
+            for b0, b1 in log_bounds:  # log(1 + exp(e0) + exp(e1)), scaled by max(0, e0, e1)
+                e0, e1 = x0 + b0, x1 + b1
+                top = e0 if e0 > e1 else e1
+                top = top if top > 0.0 else 0.0
+                scores.append(top + log(exp(-top) + exp(e0 - top) + exp(e1 - top)))
+            x = (x0, x1)
+            worst = math.inf
+            for axis, log_p, uses in log_terms:
+                value = x[axis] - log_p
+                for count, i in uses:
+                    value -= count * scores[i]
+                worst = value if value < worst else worst
+            return worst, x
+
         _, point = _golden_max(
             lambda x0: _golden_max(lambda x1: log_margin(x0, x1), lo, hi), lo, hi)
-    # interior probes lie more than _LOG_TOL / 5 inside the box, far beyond
-    # the rounding of exp, so their weights never leave it
-    mus = [MU_LO if x == lo else MU_HI if x == hi else Fraction(math.exp(x))
-           for x in point[:len(terms)]]
+    # exp(lo) and exp(hi) round to weights inside the box, so no point
+    # between them gives a weight outside it
+    mus = [MU_LO if x == lo else MU_HI if x == hi else Fraction(exp(x)) for x in point]
     cert = replace(_clique_certificate(cliques, terms, dict(zip(terms, mus))),
                    search={"evaluations": evaluations, "scorings": evaluations * len(cliques)})
     return cert.parameters, cert

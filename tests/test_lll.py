@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 import random
@@ -111,6 +112,9 @@ class TestClusterExact:
         adj = adjacency_from_edges(3, [(0, 1), (1, 2)])
         with pytest.raises(DomainError):
             check_cluster_exact([Fraction(1, 10)] * 2, adj, Fraction(1, 2))
+        for probs in ([Fraction(-1, 2), Fraction(1, 10)], [Fraction(11, 10), Fraction(1, 10)]):
+            with pytest.raises(DomainError):
+                check_cluster_exact(probs, (frozenset({1}), frozenset({0})), Fraction(1, 5))
         for mu in (0, Fraction(-1, 2), [Fraction(1, 2), 0, Fraction(1, 2)]):
             with pytest.raises(DomainError):
                 check_cluster_exact([Fraction(1, 10)] * 3, adj, mu)
@@ -425,16 +429,20 @@ class TestGoldenMax:
         assert len(probes) == 2 + steps + 2 == 55
 
 
-# Margin evaluations and clique scorings of one search at n = 3000 on the
-# threshold cells: 55 probes per weight, each distinct clique scored once per
-# margin evaluation; rescoring per type or re-searching the chosen point
-# would give 12544 and 112 scorings.
-@pytest.mark.parametrize("theorem, delta, scorings", [("thm7", 1, 55 * 55 * 2), ("cor4", 2, 55)])
+# Evaluations and clique scorings of one search at n = 3000 on the threshold
+# cells, each distinct clique scored once per evaluation: 55 margin probes per
+# weight on thm7's two distinct cliques; on cor4's one (its graph-side and
+# image-side cliques are equal) the slopes at the two edges and at the start,
+# which is already the root.  Scoring each clique once per listing instead
+# would give 12100 rainbow scorings and 6 proper ones.
+SEARCH_EVALUATIONS = {"thm7": 55 * 55, "cor4": 3}
+
+
+@pytest.mark.parametrize("theorem, delta, scorings", [("thm7", 1, 55 * 55 * 2), ("cor4", 2, 3)])
 def test_search_scores_each_distinct_clique_once_per_point(theorem, delta, scorings):
     cell = rainbow_cell if theorem == "thm7" else proper_cell
     _, cert = optimize_mu(*cell(3000, delta, threshold(theorem, 3000, delta=delta)))
-    evaluations = 55 ** len(cert.parameters)
-    assert cert.search == {"evaluations": evaluations, "scorings": scorings}
+    assert cert.search == {"evaluations": SEARCH_EVALUATIONS[theorem], "scorings": scorings}
 
 
 def _log1p_sum_exp(exponents: list[float]) -> float:
@@ -593,14 +601,21 @@ def caller_built_inputs(order) -> list[tuple]:
 
 
 def test_search_matches_the_reference_search():
+    # The two-weight search is the reference's golden-section search; the
+    # one-weight Newton search takes other points, so there only the verdict
+    # and the margin are compared.
     inputs = [certificate_inputs(setting, n, k, **rule) for setting, n, k, rule in reference_cells()]
     assert len(inputs) >= 40
     inputs += hand_built_inputs() + caller_built_inputs((INTERSECTING, DISJOINT))
     for cell in inputs:
         expected = reference_search(*cell)
         params, cert = optimize_mu(*cell)
-        assert params == expected.parameters, cell
-        assert cert.to_json() == expected.to_json(), cell
+        if len(params) == 2:
+            assert params == expected.parameters, cell
+            assert cert.to_json() == expected.to_json(), cell
+        else:
+            assert cert.holds == expected.holds, cell
+            assert cert.margin >= expected.margin * (1 - Fraction(1, 10**9)), cell
 
 
 @pytest.mark.parametrize("order", [(INTERSECTING, DISJOINT), (DISJOINT, INTERSECTING)])
@@ -637,6 +652,69 @@ def test_search_on_disjoint_first_profiles_keeps_the_verdict():
     assert differ  # the cells reach the order difference
 
 
+class CliqueList(tuple):
+    """A clique profile given as its (count, bounds) pairs."""
+
+    def cliques(self) -> list[tuple[int, dict[str, Fraction]]]:
+        return list(self)
+
+
+def one_weight_systems() -> list[tuple]:
+    """Seeded one-weight (probabilities, profiles): 1-3 distinct cliques of
+    count 1-6 on one event type, a fifth of the bounds and a tenth of the
+    probabilities 0, the other bounds spread so that the optimum falls below,
+    inside and above the box; first four single cliques whose optimum lies
+    1e-6 inside an edge of the box in log mu."""
+    rng = random.Random(29)
+    # count c and bound b have the optimum mu = 1 / ((c - 1) b)
+    systems = [({INTERSECTING: Fraction(1, 10**6)},
+                {INTERSECTING: CliqueList([(c, {INTERSECTING: 1 / ((c - 1) * edge * inside)})])})
+               for c in (2, 5) for edge, inside in ((MU_LO, 1 + Fraction(1, 10**6)),
+                                                    (MU_HI, 1 - Fraction(1, 10**6)))]
+    for _ in range(200):
+        t = rng.choice((INTERSECTING, DISJOINT))
+        bounds = [Fraction(0) if rng.random() < 0.2
+                  else Fraction(rng.randint(1, 999), 100) * Fraction(10) ** rng.randint(-5, 14)
+                  for _ in range(rng.randint(1, 3))]
+        cliques = CliqueList((rng.randint(1, 6), {t: b}) for b in bounds)
+        p = Fraction(0) if rng.random() < 0.1 else Fraction(1, rng.randint(1, 10**rng.randint(1, 25)))
+        systems.append(({t: p}, {t: cliques}))
+    return systems
+
+
+def exact_slope(cliques, mu: Fraction) -> Fraction:
+    """d/d log(mu) of the log margin: 1 - sum count * mu b / (1 + mu b)."""
+    return 1 - sum(count * mu * b / (1 + mu * b) for count, bounds in cliques for b in bounds.values())
+
+
+def test_newton_search_against_the_golden_reference():
+    lo, hi = lll._log(MU_LO), lll._log(MU_HI)
+    # the two edge slopes, the start, then no more points than a bisection
+    # of the box to _LOG_TOL takes
+    cap = 3 + math.ceil(math.log2((hi - lo) / lll._LOG_TOL))
+    grid = earlier_mu_grid()
+    faces = {"below": 0, "inside": 0, "above": 0}
+    for probs, profiles in one_weight_systems():
+        (cliques,) = profiles.values()
+        expected = reference_search(probs, profiles)
+        params, cert = optimize_mu(probs, profiles)
+        (mu,) = params.values()
+        assert cert.holds == expected.holds
+        assert cert.margin >= expected.margin * (1 - Fraction(1, 10**9))
+        # the log margin is concave in log mu, so the grid's best point is
+        # among the three on each side of the optimum
+        near = bisect.bisect(grid, mu)
+        for w in grid[max(near - 3, 0):near + 3]:
+            assert cert.margin >= check_cluster_clique(probs, profiles, w).margin
+        face = ("below" if exact_slope(cliques, MU_LO) <= 0
+                else "above" if exact_slope(cliques, MU_HI) >= 0 else "inside")
+        faces[face] += 1
+        assert (mu == MU_LO, mu == MU_HI) == (face == "below", face == "above")
+        assert MU_LO <= mu <= MU_HI
+        assert cert.search["evaluations"] <= cap
+    assert min(faces.values()) >= 20, faces
+
+
 # Verdict and float margin of the earlier grid-scan search (100-bit scan,
 # then coordinate refinement to relative step 1e-4) on threshold cells.
 EARLIER_SEARCH = [
@@ -667,8 +745,10 @@ EARLIER_SEARCH = [
 ]
 
 
-# Weights and sha256 of margin_exact that the search gave while it still had
-# separate one-weight and two-weight paths, at delta = 2 on threshold cells.
+# Weights and sha256 of margin_exact of the search at delta = 2 on threshold
+# cells: the thm7 rows as the golden-section search gave them while it still
+# had separate one-weight and two-weight paths, the cor4 rows as the Newton
+# search gives them.
 PINNED_SEARCH = [
     ("thm7", 1000, True,
      {"mu_int": "2395434866285313/604462909807314587353088",
@@ -678,11 +758,11 @@ PINNED_SEARCH = [
      {"mu_int": "1/1000000000000", "mu_dis": "1/1000000000000"},
      "ac52d6239b67f4c307db54425002f90c77eb75ae5ed440a6c8a59238d8dab2ef"),
     ("cor4", 1000, True,
-     {"mu": "7334157405452243/2417851639229258349412352"},
-     "b0d6655f48fad09ed9690bad6c49fc7e769e9abd30ee53beef37612fd4737a87"),
+     {"mu": "3667078653243035/1208925819614629174706176"},
+     "d27eb5d969cfebb0d6cd6c81da405894dd1a6ef6c4e55f9f0d18cd013575d11c"),
     ("cor4", 10**4, True,
-     {"mu": "7435819058099203/2475880078570760549798248448"},
-     "a219d459ea90959556a0f90520e28feda4e4e5e8ff41148bb3538236321772a4"),
+     {"mu": "7435818892912607/2475880078570760549798248448"},
+     "612e43e4d37d8ea957f76172a0d45f89af1c902a778657e9aeb07e6d7ba73922"),
 ]
 
 
